@@ -54,11 +54,6 @@ GEOMETRY = DiskGeometry(N=2**14, B=2**3, D=2**2, M=2**9)
 WORKERS = int(os.environ.get("BENCH_SERVE_WORKERS", "8"))
 MIX_COUNT = int(os.environ.get("BENCH_SERVE_MIX", "48"))
 
-#: Kernel backend every service worker executes with ("numpy" or
-#: "parallel"); recorded in BENCH_serve.json, no floor of its own --
-#: the backend bench owns that assertion.
-BACKEND = os.environ.get("BENCH_SERVE_BACKEND") or None
-
 #: Warm-cache 8-worker throughput must beat the sequential runner by
 #: at least this factor (the acceptance floor; keep >= 3).
 SPEEDUP_FLOOR = float(os.environ.get("BENCH_SERVE_SPEEDUP_FLOOR", "3.0"))
@@ -124,9 +119,7 @@ def test_serve_warm_cache_throughput(benchmark):
 
     # -- the service: 8 workers, one shared sharded cache
     cache = ShardedPlanCache(maxsize=64, num_shards=8)
-    with PermutationService(
-        GEOMETRY, workers=WORKERS, cache=cache, backend=BACKEND
-    ) as service:
+    with PermutationService(GEOMETRY, workers=WORKERS, cache=cache) as service:
         t0 = time.perf_counter()
         cold = service.run(requests)
         cold_elapsed = time.perf_counter() - t0
@@ -194,7 +187,6 @@ def test_serve_warm_cache_throughput(benchmark):
                 ),
                 seed=SEED,
                 workers=WORKERS,
-                backend=BACKEND or "numpy",
                 requests=len(requests),
                 sequential_s=seq_elapsed,
                 service_cold_s=cold_elapsed,

@@ -41,7 +41,7 @@ from repro.core.detect import detect_bmmc, store_target_vector
 from repro.core.factoring import factor_bmmc
 from repro.core.runner import perform_permutation
 from repro.errors import ReproError
-from repro.pdm.engine import BACKENDS, ENGINES
+from repro.pdm.engine import ENGINES
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.layout import render_figure1, render_figure2
 from repro.pdm.system import ParallelDiskSystem
@@ -143,7 +143,6 @@ def cmd_run(args) -> int:
             engine=args.engine,
             optimize=args.optimize,
             cache=cache,
-            backend=args.backend,
         )
         elapsed = time.perf_counter() - t0
         if repeat > 1:
@@ -250,7 +249,6 @@ def serve_http(args, shutdown_event=None, ready=None) -> int:
         workers=args.workers,
         cache_maxsize=args.cache_size,
         num_shards=args.shards,
-        backend=args.backend,
         queue_capacity=args.queue_capacity,
         queue_policy=args.queue_policy,
         default_timeout=args.timeout,
@@ -376,7 +374,6 @@ def cmd_serve(args) -> int:
                 seed=args.seed,
                 distinct_seeds=args.distinct_seeds,
                 engine=args.engine,
-                backend=args.backend,
                 optimize=not args.no_optimize,
             )
         requests = requests * max(1, args.repeat)
@@ -400,7 +397,7 @@ def cmd_serve(args) -> int:
         and args.workers <= 1
         and not (faults or retry or breaker or args.queue_capacity or args.timeout)
     ):
-        results = run_sequential(g, requests, backend=args.backend)
+        results = run_sequential(g, requests)
         cache_info = None
     else:
         with PermutationService(
@@ -408,7 +405,6 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             cache_maxsize=args.cache_size,
             num_shards=args.shards,
-            backend=args.backend,
             queue_capacity=args.queue_capacity,
             queue_policy=args.queue_policy,
             default_timeout=args.timeout,
@@ -612,7 +608,6 @@ def cmd_workload(args) -> int:
             geometry={"N": g.N, "B": g.B, "D": g.D, "M": g.M},
             geometries=geometries,
             engine=args.engine,
-            backend=args.backend,
             timeout=args.timeout,
             name=_trace_name(args.out),
         )
@@ -755,14 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan execution: strict per-I/O replay or fused numpy batches "
         "(--trace/--timeline need per-I/O events and force strict)",
     )
-    p_run.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="fast-engine kernel backend: single-threaded numpy or "
-        "thread-sharded parallel gather/scatter (default: REPRO_BACKEND "
-        "environment variable, else numpy)",
-    )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--rank-gamma", type=int, default=None)
     p_run.add_argument(
@@ -809,12 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--distinct-seeds", type=int, default=2, help="seed rotation of the synthetic mix (key cardinality)")
     p_serve.add_argument("--engine", choices=list(ENGINES), default="fast")
-    p_serve.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="kernel backend for every worker (requests may override)",
-    )
     p_serve.add_argument("--no-optimize", action="store_true", help="skip plan-level rewrites")
     p_serve.add_argument("--cache-size", type=int, default=64, help="shared plan cache capacity")
     p_serve.add_argument("--shards", type=int, default=8, help="cache lock shards")
@@ -1080,12 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spread keys over this many derived geometries (halving N)",
     )
     p_wgen.add_argument("--engine", choices=list(ENGINES), default="fast")
-    p_wgen.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="backend override stamped on every request",
-    )
     p_wgen.add_argument(
         "--timeout",
         type=float,

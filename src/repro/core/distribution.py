@@ -188,7 +188,6 @@ def perform_distribution_sort(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> DistributionSortResult:
     """Permute by randomized-placement LSD distribution sort.
 
@@ -234,12 +233,11 @@ def perform_distribution_sort(
                 dict(meta),
             ),
             engine=engine, optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
     else:
         execute_staged(
             system, staged, engine=engine, optimize=optimize,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
 
     return DistributionSortResult(

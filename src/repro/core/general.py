@@ -218,7 +218,6 @@ def perform_general_sort(
     engine: str = "strict",
     optimize: bool = False,
     stream_records=None,
-    backend=None,
 ) -> GeneralSortResult:
     """Permute by external merge sort on target addresses.
 
@@ -240,7 +239,7 @@ def perform_general_sort(
     before = system.stats.parallel_ios
     execute_plan(
         system, plan.io_plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )
     return GeneralSortResult(
         passes=plan.passes,

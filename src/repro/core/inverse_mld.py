@@ -148,7 +148,6 @@ def perform_inverse_mld_pass(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> None:
     """Perform an inverse-MLD permutation in one pass."""
     if cache is not None:
@@ -167,7 +166,6 @@ def perform_inverse_mld_pass(
                 None,
             ),
             engine=engine, optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         return
     plan = plan_inverse_mld_pass(
@@ -180,7 +178,7 @@ def perform_inverse_mld_pass(
     )
     execute_plan(
         system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )
 
 
@@ -273,7 +271,6 @@ def perform_mld_composition_pass(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> BMMCPermutation:
     """Perform ``Y o X^-1`` in one pass; returns the composed permutation."""
     if cache is not None:
@@ -293,7 +290,6 @@ def perform_mld_composition_pass(
                 None,
             ),
             engine=engine, optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         return y_perm.compose(x_perm.inverse())
     plan = plan_mld_composition_pass(
@@ -301,6 +297,6 @@ def perform_mld_composition_pass(
     )
     execute_plan(
         system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )
     return y_perm.compose(x_perm.inverse())

@@ -69,7 +69,6 @@ def perform_mrc_pass(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> None:
     """Perform an MRC permutation in one pass (striped reads and writes).
 
@@ -92,7 +91,6 @@ def perform_mrc_pass(
                 None,
             ),
             engine=engine, optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         return
     plan = plan_mrc_pass(
@@ -100,5 +98,5 @@ def perform_mrc_pass(
     )
     execute_plan(
         system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )

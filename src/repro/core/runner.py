@@ -69,7 +69,6 @@ def perform_permutation(
     cache: PlanCache | None = None,
     seed: int = 0,
     stream_records=None,
-    backend=None,
 ) -> RunReport:
     """Run ``perm`` on ``system`` and report.
 
@@ -130,14 +129,14 @@ def perform_permutation(
         perform_mrc_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "mld":
         perform_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "inv-mld":
@@ -146,7 +145,7 @@ def perform_permutation(
         perform_inverse_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen in ("bmmc", "bmmc-unmerged"):
@@ -159,14 +158,13 @@ def perform_permutation(
             engine=engine,
             optimize=optimize,
             cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = result.final_portion
     elif chosen == "general":
         result = perform_general_sort(
             system, perm, source_portion, target_portion, engine=engine,
             optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         final = result.final_portion
     elif chosen == "distribution":
@@ -175,7 +173,7 @@ def perform_permutation(
         result = perform_distribution_sort(
             system, perm, source_portion, target_portion, seed=seed,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = result.final_portion
     else:
@@ -208,7 +206,6 @@ def perform_pipeline(
     engine: str = "strict",
     optimize: bool = False,
     cache: PlanCache | None = None,
-    backend=None,
 ) -> RunReport:
     """Perform a sequence of permutations as *one* composed run.
 
@@ -241,7 +238,6 @@ def perform_pipeline(
         engine=engine,
         optimize=optimize,
         cache=cache,
-        backend=backend,
     )
 
 

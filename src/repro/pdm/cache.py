@@ -163,7 +163,6 @@ class CompiledPlan:
         engine: str = "fast",
         stream_records=None,
         optimize: bool = True,
-        backend=None,
     ) -> ExecReport:
         """Run the compiled plan.
 
@@ -171,16 +170,12 @@ class CompiledPlan:
         first fast-engine use); a compiled plan is shareable between
         callers that do and do not want the rewrites, so the choice is
         made here, per execution, not baked into the cache entry.
-        ``backend`` likewise: compiled plans are backend-agnostic (the
-        kernel backend never appears in :func:`plan_key`), so one entry
-        serves every backend.
         """
         target = (
             self.ensure_optimized() if (optimize and engine == "fast") else self.plan
         )
         return execute_plan(
-            system, target, engine=engine, stream_records=stream_records,
-            backend=backend,
+            system, target, engine=engine, stream_records=stream_records
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -502,7 +497,6 @@ def cached_execute(
     engine: str = "fast",
     optimize: bool = True,
     stream_records=None,
-    backend=None,
 ) -> tuple[CompiledPlan, ExecReport, bool]:
     """Execute through the cache; compile-and-store on a miss.
 
@@ -548,8 +542,7 @@ def cached_execute(
         compiled, hit = cache.get_or_compile(key, _compile)
     executed_from = time.perf_counter()
     report = compiled.execute(
-        system, engine=engine, stream_records=stream_records, optimize=optimize,
-        backend=backend,
+        system, engine=engine, stream_records=stream_records, optimize=optimize
     )
     if trace is not None:
         trace.record("execute", time.perf_counter() - executed_from)

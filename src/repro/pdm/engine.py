@@ -46,11 +46,7 @@ the observed host peak.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -68,13 +64,8 @@ from repro.pdm.system import ParallelDiskSystem
 
 __all__ = [
     "ENGINES",
-    "BACKENDS",
     "STREAM_AUTO_RECORDS",
     "ExecReport",
-    "ExecutionBackend",
-    "NumpyBackend",
-    "ParallelBackend",
-    "get_backend",
     "execute_plan",
     "validate_plan",
     "audit_plan",
@@ -83,11 +74,6 @@ __all__ = [
 
 #: The two execution modes.
 ENGINES = ("strict", "fast")
-
-#: Fused-execution kernel backends (the ``backend`` knob of the fast
-#: engine).  ``numpy`` is the single-threaded reference; ``parallel``
-#: shards large gather/scatter calls across worker threads.
-BACKENDS = ("numpy", "parallel")
 
 #: Auto-streaming threshold: a pass whose read stream exceeds this many
 #: records is executed in liveness-bounded chunks by the fast engine.
@@ -128,273 +114,11 @@ class ExecReport:
     """
 
     engine: str
-    backend: str = "numpy"
     host_peak_records: int = 0
     streamed_passes: int = 0
     optimized: bool = False
     fell_back: str | None = None
     streams: list[np.ndarray] | None = field(default=None, repr=False)
-
-
-# ------------------------------------------------------------------ backends
-def _env_int(name: str, default: int, minimum: int | None = None) -> int:
-    """Read an integer knob from the environment, validated once, here.
-
-    Malformed or out-of-range values raise a :class:`ValidationError`
-    naming the variable -- not a bare ``ValueError`` from deep inside a
-    kernel -- so a typo in a deployment manifest surfaces as
-    configuration feedback, not an engine crash.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ValidationError(
-            f"environment variable {name} must be >= {minimum}, got {value}"
-        )
-    return value
-
-
-class ExecutionBackend:
-    """Kernel seam for fused execution: gather, scatter, fill, take.
-
-    The fast engine's data movement funnels through these four
-    primitives plus :meth:`run_units` (cross-pass scheduling).  A
-    backend may reorder *how* records move but never *what* moves:
-    every kernel is elementwise-deterministic, so portions, stats, and
-    memory accounting are byte-identical across backends.
-
-    ``numpy`` is the single-threaded reference; ``parallel`` shards
-    large calls across a thread pool (``np.take``/``np.put`` release
-    the GIL on contiguous arrays, so threads give real speedup without
-    processes).
-    """
-
-    name = "numpy"
-    workers = 1
-
-    #: Upper bound on independent passes :meth:`run_units` runs at once.
-    parallel_units = 1
-
-    def serial(self) -> "ExecutionBackend":
-        """The backend used *inside* concurrently scheduled passes.
-
-        Pass-level and kernel-level parallelism never nest: a unit
-        running on a pool thread must not submit shard work back to the
-        same pool (queueing behind sibling units can deadlock), so
-        concurrent units always run their kernels on the serial
-        reference backend.
-        """
-        return self
-
-    def gather(self, dst: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
-        np.take(src, idx, out=dst)
-
-    def take(self, src: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return src[idx]
-
-    def scatter(self, dst: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-        dst[idx] = values
-
-    def fill(self, dst: np.ndarray, idx: np.ndarray, value) -> None:
-        dst[idx] = value
-
-    def run_units(self, thunks) -> None:
-        for thunk in thunks:
-            thunk()
-
-
-class NumpyBackend(ExecutionBackend):
-    """The reference backend: the fused-numpy path, single-threaded."""
-
-
-class ParallelBackend(ExecutionBackend):
-    """Thread-sharded kernels along record-range (disk/segment) boundaries.
-
-    Each large gather/scatter splits its index array into contiguous
-    chunks dispatched to a shared :class:`ThreadPoolExecutor`; chunks
-    are disjoint output ranges, so workers never touch the same
-    elements.  Calls below the crossover (``min_records``) run inline
-    on the numpy path -- thread fan-out costs more than it saves on
-    small segments.
-
-    Environment knobs (read at construction):
-
-    * ``REPRO_PARALLEL_WORKERS`` -- pool width (default: cpu count)
-    * ``REPRO_PARALLEL_MIN_RECORDS`` -- crossover below which calls
-      stay inline (default ``1 << 16``)
-    * ``REPRO_PARALLEL_CHUNK_RECORDS`` -- minimum shard size
-      (default ``1 << 15``)
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        min_records: int | None = None,
-        chunk_records: int | None = None,
-    ) -> None:
-        if workers is None:
-            workers = _env_int("REPRO_PARALLEL_WORKERS", os.cpu_count() or 1, minimum=1)
-        if min_records is None:
-            min_records = _env_int("REPRO_PARALLEL_MIN_RECORDS", 1 << 16, minimum=0)
-        if chunk_records is None:
-            chunk_records = _env_int("REPRO_PARALLEL_CHUNK_RECORDS", 1 << 15, minimum=1)
-        self.workers = max(1, int(workers))
-        self.min_records = max(0, int(min_records))
-        self.chunk_records = max(1, int(chunk_records))
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    @property
-    def parallel_units(self) -> int:
-        return self.workers
-
-    def serial(self) -> ExecutionBackend:
-        return _NUMPY
-
-    def pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-backend",
-                    )
-        return self._pool
-
-    def _sharded(self, n: int) -> bool:
-        return self.workers > 1 and n >= self.min_records and n > self.chunk_records
-
-    def _ranges(self, n: int) -> list[tuple[int, int]]:
-        """Chunk boundaries: at least ``chunk_records`` each, at most
-        ~2 chunks per worker (fan-out overhead caps out quickly)."""
-        size = max(self.chunk_records, -(-n // (2 * self.workers)))
-        return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-    def _run(self, tasks) -> None:
-        """Run shard tasks, first inline on the calling thread; re-raise
-        the earliest failure (by task order) after all have settled, so
-        no worker is still touching shared arrays when this returns."""
-        checkpoint("shard")
-        futures = [self.pool().submit(t) for t in tasks[1:]]
-        first_exc: BaseException | None = None
-        try:
-            tasks[0]()
-        except BaseException as exc:
-            first_exc = exc
-        for fut in futures:
-            try:
-                fut.result()
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-
-    def gather(self, dst: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
-        n = idx.size
-        if not self._sharded(n):
-            np.take(src, idx, out=dst)
-            return
-        self._run([
-            partial(np.take, src, idx[lo:hi], out=dst[lo:hi])
-            for lo, hi in self._ranges(n)
-        ])
-
-    def take(self, src: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if not self._sharded(idx.size):
-            return src[idx]
-        out = np.empty(idx.size, dtype=src.dtype)
-        self.gather(out, src, idx)
-        return out
-
-    @staticmethod
-    def _put(dst: np.ndarray, idx: np.ndarray, values) -> None:
-        if dst.flags.c_contiguous:
-            np.put(dst, idx, values)
-        else:
-            dst[idx] = values
-
-    def scatter(self, dst: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-        n = idx.size
-        if not self._sharded(n):
-            dst[idx] = values
-            return
-        self._run([
-            partial(self._put, dst, idx[lo:hi], values[lo:hi])
-            for lo, hi in self._ranges(n)
-        ])
-
-    def fill(self, dst: np.ndarray, idx: np.ndarray, value) -> None:
-        n = idx.size
-        if not self._sharded(n):
-            dst[idx] = value
-            return
-        self._run([
-            partial(self._put, dst, idx[lo:hi], value)
-            for lo, hi in self._ranges(n)
-        ])
-
-    def run_units(self, thunks) -> None:
-        if len(thunks) <= 1 or self.workers <= 1:
-            for thunk in thunks:
-                thunk()
-            return
-        futures = [self.pool().submit(t) for t in thunks]
-        first_exc: BaseException | None = None
-        for fut in futures:
-            try:
-                fut.result()
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-
-
-_NUMPY = NumpyBackend()
-_BACKEND_SINGLETONS: dict[str, ExecutionBackend] = {"numpy": _NUMPY}
-_BACKEND_LOCK = threading.Lock()
-
-
-def get_backend(backend=None) -> ExecutionBackend:
-    """Resolve the ``backend`` knob to an :class:`ExecutionBackend`.
-
-    ``None`` resolves through the ``REPRO_BACKEND`` environment
-    variable (default ``"numpy"``); a string picks the shared singleton
-    of that name; an :class:`ExecutionBackend` instance passes through
-    (tests use this to force tiny chunk configurations).
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    from_env = False
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "numpy"
-        from_env = True
-    if backend not in BACKENDS:
-        if from_env:
-            raise ValidationError(
-                f"environment variable REPRO_BACKEND names an unknown "
-                f"backend {backend!r}; choose from {BACKENDS}"
-            )
-        raise ValidationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
-    instance = _BACKEND_SINGLETONS.get(backend)
-    if instance is None:
-        with _BACKEND_LOCK:
-            instance = _BACKEND_SINGLETONS.get(backend)
-            if instance is None:
-                instance = _BACKEND_SINGLETONS[backend] = ParallelBackend()
-    return instance
 
 
 class _FusedPass:
@@ -818,7 +542,6 @@ def _require_write_targets_empty(
     write_portions: np.ndarray,
     rec_wport: np.ndarray,
     write_addr: np.ndarray,
-    kernels: ExecutionBackend = _NUMPY,
 ) -> None:
     """The simple-I/O write-to-empty rule, vectorized over record addrs.
 
@@ -830,7 +553,7 @@ def _require_write_targets_empty(
     data = system._data
     for portion, idx in _portion_groups(write_portions, rec_wport):
         if isinstance(idx, slice):
-            values = kernels.take(data[portion], write_addr)
+            values = data[portion][write_addr]
         else:
             values = data[portion, write_addr[idx]]
         occupied = ~system._is_empty(values)
@@ -931,7 +654,6 @@ def _apply_segment(
     s0: int,
     s1: int,
     write_keep: np.ndarray | None = None,
-    kernels: ExecutionBackend = _NUMPY,
 ) -> np.ndarray:
     """Gather/check/scatter one step range of a fused pass; returns its
     read-stream chunk (the caller reports/captures it).
@@ -939,9 +661,7 @@ def _apply_segment(
     ``write_keep`` is a record-level mask over the pass's write stream
     (the optimizer's dead-write elimination); masked records skip the
     physical scatter while everything else -- checks, consumes, stats
-    -- proceeds as usual.  ``kernels`` supplies the gather/scatter
-    primitives; the uniform-portion paths shard under the parallel
-    backend, the (rare, small) multi-portion mask paths stay inline.
+    -- proceeds as usual.
     """
     g = system.geometry
     B = g.B
@@ -957,7 +677,7 @@ def _apply_segment(
     stream = np.empty(rec1 - rec0, dtype=system.dtype)
     for portion, idx in _portion_groups(read_portions, rec_rport):
         if isinstance(idx, slice):
-            kernels.gather(stream, data[portion], read_addr)
+            np.take(data[portion], read_addr, out=stream)
         else:
             stream[idx] = data[portion, read_addr[idx]]
 
@@ -980,9 +700,7 @@ def _apply_segment(
     rec_wport = f.rec_write_portion[wrec0:wrec1]
     write_portions = f.write_portions[w0:w1]
     if system.simple_io and write_addr.size:
-        _require_write_targets_empty(
-            system, write_portions, rec_wport, write_addr, kernels=kernels
-        )
+        _require_write_targets_empty(system, write_portions, rec_wport, write_addr)
 
     # Mutate: consume sources, then scatter targets (disjoint by the
     # fusability check, so ordering is immaterial).
@@ -990,7 +708,7 @@ def _apply_segment(
         for portion, idx in _portion_groups(read_portions, rec_rport):
             if isinstance(idx, slice):
                 addr = read_addr if all_consume else read_addr[rec_consume]
-                kernels.fill(data[portion], addr, system.empty)
+                data[portion][addr] = system.empty
             else:
                 mask = idx & rec_consume
                 data[portion, read_addr[mask]] = system.empty
@@ -998,12 +716,12 @@ def _apply_segment(
         src = f.write_source[wrec0:wrec1]
         if rec0:
             src = src - rec0
-        out = kernels.take(stream, src)
+        out = stream[src]
         keep = None if write_keep is None else write_keep[wrec0:wrec1]
         for portion, idx in _portion_groups(write_portions, rec_wport):
             if keep is None:
                 if isinstance(idx, slice):
-                    kernels.scatter(data[portion], write_addr, out)
+                    data[portion][write_addr] = out
                 else:
                     data[portion, write_addr[idx]] = out[idx]
             else:
@@ -1028,30 +746,6 @@ def _finish_pass(system: ParallelDiskSystem, f: _FusedPass, mem: _PassMemory) ->
         system.memory.peak = mem.peak
 
 
-def _run_fused_data(
-    system: ParallelDiskSystem,
-    f: _FusedPass,
-    budget: int | None,
-    kernels: ExecutionBackend = _NUMPY,
-    write_keep: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """One fused pass's data movement (no stats); returns the host peak
-    stream size and the number of segments executed."""
-    if budget is not None and f.stream_records > budget and f.num_steps > 1:
-        segments = _liveness_segments(f, budget)
-    else:
-        segments = [(0, f.num_steps)]
-    peak = 0
-    for s0, s1 in segments:
-        if s0:
-            checkpoint("shard", f.label)
-        stream = _apply_segment(
-            system, f, s0, s1, write_keep=write_keep, kernels=kernels
-        )
-        peak = max(peak, stream.size)
-    return peak, len(segments)
-
-
 def _run_fused_pass(
     system: ParallelDiskSystem,
     f: _FusedPass,
@@ -1059,57 +753,25 @@ def _run_fused_pass(
     report: ExecReport,
     mem: _PassMemory,
     write_keep: np.ndarray | None = None,
-    kernels: ExecutionBackend = _NUMPY,
 ) -> None:
     """Execute one fused pass, streaming when it exceeds ``budget``, and
-    fold its host-peak/streamed accounting and stats into ``report``."""
-    peak, num_segments = _run_fused_data(
-        system, f, budget, kernels=kernels, write_keep=write_keep
-    )
-    report.host_peak_records = max(report.host_peak_records, peak)
-    if num_segments > 1:
+    fold its host-peak/streamed accounting and stats into ``report``.
+    A capturing report (``budget`` is then None) receives the pass's
+    whole read stream."""
+    if budget is not None and f.stream_records > budget and f.num_steps > 1:
+        segments = _liveness_segments(f, budget)
+    else:
+        segments = [(0, f.num_steps)]
+    for s0, s1 in segments:
+        if s0:
+            checkpoint("shard", f.label)
+        stream = _apply_segment(system, f, s0, s1, write_keep=write_keep)
+        report.host_peak_records = max(report.host_peak_records, stream.size)
+    if report.streams is not None:
+        report.streams.append(stream)
+    if len(segments) > 1:
         report.streamed_passes += 1
     _finish_pass(system, f, mem)
-
-
-def _pass_footprint(g: DiskGeometry, f: _FusedPass) -> np.ndarray:
-    """Sorted unique portion-qualified block keys a pass touches
-    (reads and writes), derived from its columnar metadata."""
-    parts = []
-    if f.read_ids.size:
-        parts.append(f.rec_read_portion[:: g.B] * g.num_blocks + f.read_ids)
-    if f.write_ids.size:
-        parts.append(f.rec_write_portion[:: g.B] * g.num_blocks + f.write_ids)
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
-
-
-def _independent_batches(footprints: list[np.ndarray]) -> list[tuple[int, int]]:
-    """Greedy maximal runs ``[i, j)`` of consecutive units whose block
-    footprints are pairwise disjoint -- safe to execute concurrently.
-
-    Consecutive-only on purpose: hoisting a later pass over an earlier
-    one it is independent of would still be observable through fault
-    ordering, and the planners emit dependent chains anyway.
-    """
-    batches: list[tuple[int, int]] = []
-    i = 0
-    n = len(footprints)
-    while i < n:
-        acc = footprints[i]
-        j = i + 1
-        while j < n:
-            nxt = footprints[j]
-            if acc.size and nxt.size and np.intersect1d(
-                acc, nxt, assume_unique=True
-            ).size:
-                break
-            acc = np.union1d(acc, nxt)
-            j += 1
-        batches.append((i, j))
-        i = j
-    return batches
 
 
 def _execute_fast(
@@ -1117,7 +779,6 @@ def _execute_fast(
     plan: IOPlan,
     stream_records=None,
     capture: bool = False,
-    backend=None,
 ) -> ExecReport:
     g = system.geometry
     fused = [_fuse_pass(g, p) for p in plan.passes]
@@ -1125,47 +786,11 @@ def _execute_fast(
         _check_pass(g, system.num_portions, system.simple_io, f)
     _, _, mems = _check_memory(g, system.memory.capacity, system.memory.in_use, fused)
 
-    kernels = get_backend(backend)
     budget = None if capture else _stream_budget(stream_records)
-    report = ExecReport(
-        engine="fast", backend=kernels.name, streams=[] if capture else None
-    )
-    if capture:
-        for f, mem in zip(fused, mems):
-            checkpoint("pass", f.label)
-            # whole stream, by construction of budget=None
-            stream = _apply_segment(system, f, 0, f.num_steps, kernels=kernels)
-            report.host_peak_records = max(report.host_peak_records, stream.size)
-            report.streams.append(stream)
-            _finish_pass(system, f, mem)
-        return report
-
-    # Cross-pass scheduling: consecutive passes with disjoint block
-    # footprints run concurrently under a parallel backend.  Stats and
-    # memory are still recorded in plan order after the batch settles,
-    # so pass tables and the memory envelope are order-identical.
-    if kernels.parallel_units > 1 and len(fused) > 1:
-        batches = _independent_batches([_pass_footprint(g, f) for f in fused])
-    else:
-        batches = [(i, i + 1) for i in range(len(fused))]
-    serial = kernels.serial()
-    for i, j in batches:
-        checkpoint("pass", fused[i].label)
-        if j - i == 1:
-            _run_fused_pass(system, fused[i], budget, report, mems[i], kernels=kernels)
-            continue
-        results: list[tuple[int, int] | None] = [None] * (j - i)
-
-        def _unit(k: int) -> None:
-            results[k - i] = _run_fused_data(system, fused[k], budget, kernels=serial)
-
-        kernels.run_units([partial(_unit, k) for k in range(i, j)])
-        for k in range(i, j):
-            peak, num_segments = results[k - i]
-            report.host_peak_records = max(report.host_peak_records, peak)
-            if num_segments > 1:
-                report.streamed_passes += 1
-            _finish_pass(system, fused[k], mems[k])
+    report = ExecReport(engine="fast", streams=[] if capture else None)
+    for f, mem in zip(fused, mems):
+        checkpoint("pass", f.label)
+        _run_fused_pass(system, f, budget, report, mem)
     return report
 
 
@@ -1177,7 +802,6 @@ def execute_plan(
     optimize: bool = False,
     stream_records=None,
     capture: bool = False,
-    backend=None,
 ) -> ExecReport:
     """Execute an I/O plan under the chosen engine.
 
@@ -1194,11 +818,6 @@ def execute_plan(
     at :data:`STREAM_AUTO_RECORDS`, ``0`` = never stream);
     ``capture=True`` returns each pass's read stream in the report
     (disables streaming -- the stream must be whole).
-
-    ``backend`` selects the fast engine's kernel backend (a name from
-    :data:`BACKENDS`, an :class:`ExecutionBackend` instance, or ``None``
-    for the ``REPRO_BACKEND`` environment default).  The strict engine
-    is per-operation by definition and ignores it.
     """
     from repro.pdm.optimize import OptimizedPlan  # local: optimize imports us
 
@@ -1208,11 +827,9 @@ def execute_plan(
             engine=engine,
             stream_records=stream_records,
             capture=capture,
-            backend=backend,
         )
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    get_backend(backend)  # validate the knob even on strict paths
     if plan.geometry != system.geometry:
         raise ValidationError("plan and system geometries differ")
     if optimize and engine == "fast" and not capture and not system._observers:
@@ -1221,16 +838,10 @@ def execute_plan(
         oplan = optimize_plan(
             plan, num_portions=system.num_portions, simple_io=system.simple_io
         )
-        return oplan.execute(
-            system, engine=engine, stream_records=stream_records, backend=backend
-        )
+        return oplan.execute(system, engine=engine, stream_records=stream_records)
     if engine == "fast" and not system._observers:
         return _execute_fast(
-            system,
-            plan,
-            stream_records=stream_records,
-            capture=capture,
-            backend=backend,
+            system, plan, stream_records=stream_records, capture=capture
         )
     report = _execute_strict(
         system, plan, capture=capture, stream_records=stream_records

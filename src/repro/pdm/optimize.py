@@ -43,7 +43,6 @@ link) guarantees no pre-existing payload is lost by the skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,21 +51,16 @@ from repro.pdm.cancel import checkpoint
 from repro.pdm.engine import (
     ENGINES,
     ExecReport,
-    ExecutionBackend,
     _check_memory,
     _check_pass,
     _execute_fast,
     _execute_strict,
     _finish_pass,
     _fuse_pass,
-    _independent_batches,
-    _pass_footprint,
     _portion_groups,
     _require_write_targets_empty,
-    _run_fused_data,
     _run_fused_pass,
     _stream_budget,
-    get_backend,
 )
 from repro.pdm.schedule import IOPlan
 from repro.pdm.system import ParallelDiskSystem
@@ -458,11 +452,9 @@ class OptimizedPlan:
         engine: str = "fast",
         stream_records=None,
         capture: bool = False,
-        backend=None,
     ) -> ExecReport:
         if engine not in ENGINES:
             raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        get_backend(backend)  # validate the knob even on fallback paths
         if self.plan.geometry != system.geometry:
             raise ValidationError("plan and system geometries differ")
         if engine == "strict" or system._observers:
@@ -473,61 +465,17 @@ class OptimizedPlan:
                 report.fell_back = "observers"
             return report
         if capture:
-            return _execute_fast(system, self.plan, capture=True, backend=backend)
+            return _execute_fast(system, self.plan, capture=True)
         if (
             system.num_portions != self.num_portions
             or system.simple_io != self.simple_io
         ):
-            report = _execute_fast(
-                system, self.plan, stream_records=stream_records, backend=backend
-            )
+            report = _execute_fast(system, self.plan, stream_records=stream_records)
             report.fell_back = "system-shape-mismatch"
             return report
-        return self._execute_optimized(system, stream_records, backend)
+        return self._execute_optimized(system, stream_records)
 
-    def _group_footprint(self, g, grp) -> np.ndarray:
-        """Union of member pass footprints (portion-qualified block keys)."""
-        parts = [_pass_footprint(g, f) for f in grp.members]
-        parts = [p for p in parts if p.size]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-    def _run_unit_data(self, system, grp, budget, kernels) -> tuple[int, int]:
-        """One group's data movement, no stats; returns (host peak
-        records, streamed-pass count)."""
-        if grp.partial is not None:
-            fa, fb = grp.members
-            if budget is None or fa.stream_records + fb.stream_records <= budget:
-                return self._run_partial_group(system, grp, kernels), 0
-            # The pair would buffer both read streams at once; when that
-            # busts the stream budget, the budget wins: run unfused.
-            peak = streamed = 0
-            for f in grp.members:
-                p, num_segments = _run_fused_data(system, f, budget, kernels=kernels)
-                peak = max(peak, p)
-                streamed += 1 if num_segments > 1 else 0
-            return peak, streamed
-        if grp.source_map is not None:
-            first = grp.members[0]
-            if budget is None or first.stream_records <= budget:
-                return self._run_group(system, grp, kernels), 0
-            # The fused chain would buffer one whole read stream;
-            # when that busts the stream budget, the budget wins:
-            # run the members unfused through the streaming path.
-            peak = streamed = 0
-            for f in grp.members:
-                p, num_segments = _run_fused_data(system, f, budget, kernels=kernels)
-                peak = max(peak, p)
-                streamed += 1 if num_segments > 1 else 0
-            return peak, streamed
-        f = grp.members[0]
-        peak, num_segments = _run_fused_data(
-            system, f, budget, kernels=kernels, write_keep=grp.write_keep
-        )
-        return peak, 1 if num_segments > 1 else 0
-
-    def _execute_optimized(self, system, stream_records, backend=None) -> ExecReport:
+    def _execute_optimized(self, system, stream_records) -> ExecReport:
         g = system.geometry
         for f in self._fused:
             _check_pass(g, system.num_portions, system.simple_io, f)
@@ -538,51 +486,36 @@ class OptimizedPlan:
         # memory list alongside them (it is never stored on the shared
         # fused metadata -- concurrent executions each get their own).
         mem_of = dict(zip(map(id, self._fused), mems))
-        kernels = get_backend(backend)
         budget = _stream_budget(stream_records)
-        report = ExecReport(engine="fast", backend=kernels.name, optimized=True)
-
-        def _finish(grp):
+        report = ExecReport(engine="fast", optimized=True)
+        for grp in self.groups:
+            checkpoint("pass", grp.members[0].label)
+            if grp.partial is not None:
+                # A partial pair buffers both read streams at once.
+                buffered = sum(f.stream_records for f in grp.members)
+                run = self._run_partial_group
+            elif grp.source_map is not None:
+                # A fused chain buffers its first pass's whole read stream.
+                buffered = grp.members[0].stream_records
+                run = self._run_group
+            else:
+                f = grp.members[0]
+                _run_fused_pass(
+                    system, f, budget, report, mem_of[id(f)], write_keep=grp.write_keep
+                )
+                continue
+            if budget is not None and buffered > budget:
+                # The stream budget wins: run the members unfused
+                # through the streaming path.
+                for f in grp.members:
+                    _run_fused_pass(system, f, budget, report, mem_of[id(f)])
+                continue
+            report.host_peak_records = max(report.host_peak_records, run(system, grp))
             for f in grp.members:
                 _finish_pass(system, f, mem_of[id(f)])
-
-        # Cross-pass scheduling over physical groups, mirroring the
-        # unoptimized fast path: consecutive groups with disjoint block
-        # footprints run concurrently; stats still land in plan order.
-        groups = self.groups
-        if kernels.parallel_units > 1 and len(groups) > 1:
-            batches = _independent_batches(
-                [self._group_footprint(g, grp) for grp in groups]
-            )
-        else:
-            batches = [(i, i + 1) for i in range(len(groups))]
-        serial = kernels.serial()
-        for i, j in batches:
-            checkpoint("pass", groups[i].members[0].label)
-            if j - i == 1:
-                peak, streamed = self._run_unit_data(
-                    system, groups[i], budget, kernels
-                )
-                report.host_peak_records = max(report.host_peak_records, peak)
-                report.streamed_passes += streamed
-                _finish(groups[i])
-                continue
-            results: list[tuple[int, int] | None] = [None] * (j - i)
-
-            def _unit(k: int) -> None:
-                results[k - i] = self._run_unit_data(
-                    system, groups[k], budget, serial
-                )
-
-            kernels.run_units([partial(_unit, k) for k in range(i, j)])
-            for k in range(i, j):
-                peak, streamed = results[k - i]
-                report.host_peak_records = max(report.host_peak_records, peak)
-                report.streamed_passes += streamed
-                _finish(groups[k])
         return report
 
-    def _run_group(self, system, grp, kernels: ExecutionBackend) -> int:
+    def _run_group(self, system, grp) -> int:
         """One fused chain: gather first reads, apply the composed slot
         permutation, scatter last writes; enforce every simple-I/O check
         the skipped link operations would have performed."""
@@ -593,7 +526,7 @@ class OptimizedPlan:
         stream = np.empty(first.stream_records, dtype=system.dtype)
         for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.gather(stream, data[portion], first.read_addr)
+                np.take(data[portion], first.read_addr, out=stream)
             else:
                 stream[idx] = data[portion, first.read_addr[idx]]
         empty = system._is_empty(stream)
@@ -604,7 +537,7 @@ class OptimizedPlan:
             )
         for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.fill(data[portion], first.read_addr, system.empty)
+                data[portion][first.read_addr] = system.empty
             else:
                 data[portion, first.read_addr[idx]] = system.empty
 
@@ -613,23 +546,21 @@ class OptimizedPlan:
         # matches what strict execution would show at each link's time.
         for fa in grp.members[:-1]:
             _require_write_targets_empty(
-                system, fa.write_portions, fa.rec_write_portion, fa.write_addr,
-                kernels=kernels,
+                system, fa.write_portions, fa.rec_write_portion, fa.write_addr
             )
 
         _require_write_targets_empty(
-            system, last.write_portions, last.rec_write_portion, last.write_addr,
-            kernels=kernels,
+            system, last.write_portions, last.rec_write_portion, last.write_addr
         )
-        out = kernels.take(stream, grp.source_map)
+        out = stream[grp.source_map]
         for portion, idx in _portion_groups(last.write_portions, last.rec_write_portion):
             if isinstance(idx, slice):
-                kernels.scatter(data[portion], last.write_addr, out)
+                data[portion][last.write_addr] = out
             else:
                 data[portion, last.write_addr[idx]] = out[idx]
         return stream.size
 
-    def _run_partial_group(self, system, grp, kernels: ExecutionBackend) -> int:
+    def _run_partial_group(self, system, grp) -> int:
         """One partial pair: run ``fa`` whole (skipping the piped
         writes), then realize ``fb``'s stream from the pipe plus a
         physical gather of the remainder.
@@ -650,7 +581,7 @@ class OptimizedPlan:
         stream_a = np.empty(fa.stream_records, dtype=system.dtype)
         for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.gather(stream_a, data[portion], fa.read_addr)
+                np.take(data[portion], fa.read_addr, out=stream_a)
             else:
                 stream_a[idx] = data[portion, fa.read_addr[idx]]
         empty = system._is_empty(stream_a)
@@ -661,15 +592,14 @@ class OptimizedPlan:
             )
         for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.fill(data[portion], fa.read_addr, system.empty)
+                data[portion][fa.read_addr] = system.empty
             else:
                 data[portion, fa.read_addr[idx]] = system.empty
 
         _require_write_targets_empty(
-            system, fa.write_portions, fa.rec_write_portion, fa.write_addr,
-            kernels=kernels,
+            system, fa.write_portions, fa.rec_write_portion, fa.write_addr
         )
-        out_a = kernels.take(stream_a, fa.write_source)
+        out_a = stream_a[fa.write_source]
         for portion, idx in _portion_groups(fa.write_portions, fa.rec_write_portion):
             mask = pl.a_keep if isinstance(idx, slice) else (idx & pl.a_keep)
             data[portion, fa.write_addr[mask]] = out_a[mask]
@@ -681,7 +611,7 @@ class OptimizedPlan:
             phys_port = fb.rec_read_portion[pl.b_phys_idx]
             for portion, idx in _portion_groups(phys_port, phys_port):
                 if isinstance(idx, slice):
-                    values = kernels.take(data[portion], phys_addr)
+                    values = data[portion][phys_addr]
                 else:
                     values = data[portion, phys_addr[idx]]
                 empty = system._is_empty(values)
@@ -692,18 +622,17 @@ class OptimizedPlan:
                     )
                 stream_b[pl.b_phys_idx[idx]] = values
                 if isinstance(idx, slice):
-                    kernels.fill(data[portion], phys_addr, system.empty)
+                    data[portion][phys_addr] = system.empty
                 else:
                     data[portion, phys_addr[idx]] = system.empty
 
         _require_write_targets_empty(
-            system, fb.write_portions, fb.rec_write_portion, fb.write_addr,
-            kernels=kernels,
+            system, fb.write_portions, fb.rec_write_portion, fb.write_addr
         )
-        out_b = kernels.take(stream_b, fb.write_source)
+        out_b = stream_b[fb.write_source]
         for portion, idx in _portion_groups(fb.write_portions, fb.rec_write_portion):
             if isinstance(idx, slice):
-                kernels.scatter(data[portion], fb.write_addr, out_b)
+                data[portion][fb.write_addr] = out_b
             else:
                 data[portion, fb.write_addr[idx]] = out_b[idx]
         return stream_a.size + stream_b.size

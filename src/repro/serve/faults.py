@@ -1,10 +1,9 @@
 """Deterministic fault injection: chaos as a first-class, seeded seam.
 
 A :class:`FaultPlan` describes *where* and *how often* things go wrong:
-planner errors (a compile blows up), kernel-shard errors (a fused pass
-dies mid-flight), slow passes (injected latency at pass boundaries),
-and latch stalls (a cold-compile builder that dawdles while waiters
-queue).  Probabilities are evaluated by a per-request
+planner errors (a compile blows up), kernel errors (a fused pass dies
+mid-flight), slow passes (injected latency at pass boundaries), and
+latch stalls (a cold-compile builder that dawdles while waiters queue).  Probabilities are evaluated by a per-request
 :class:`FaultSession` whose RNG is seeded from ``(plan seed, request
 index)``, so every draw is a pure function of the plan and the request:
 the same seed injects the same faults into the same checkpoint
@@ -20,8 +19,7 @@ co-arrivals wait and get hits).  That is what lets CI pin
 Faults fire *through* the cooperative checkpoints
 (:func:`repro.pdm.cancel.checkpoint`), the same boundaries cancellation
 uses -- so injected failures exercise exactly the unwind paths real
-failures take, and the old test-suite idiom of monkeypatching backends
-and planners is no longer the only way to make the stack misbehave.
+failures take, without monkeypatching kernels or planners.
 
 Injected errors are :class:`~repro.errors.InjectedFault`, a
 :class:`~repro.errors.TransientError`: the retry machinery re-attempts

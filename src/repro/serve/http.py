@@ -168,6 +168,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # Headers and body go out in two writes; with Nagle on, the second
+    # waits for the client's delayed ACK on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -728,7 +731,6 @@ class HttpFrontend:
         config = {
             "geometry": {"N": g.N, "B": g.B, "D": g.D, "M": g.M},
             "workers": service.workers,
-            "backend": service.backend,
             "queue_capacity": service.queue_capacity,
             "queue_policy": service.queue_policy,
             "coalesce": getattr(service, "coalesce", False),

@@ -147,7 +147,6 @@ class PermutationRequest:
     seed: int = 0
     rank_gamma: int | None = None
     engine: str = "fast"
-    backend: str | None = None
     optimize: bool = True
     verify: bool = True
     capture_portion: bool = False
@@ -160,8 +159,7 @@ class PermutationRequest:
 
     def describe(self) -> str:
         perm = self.perm if isinstance(self.perm, str) else type(self.perm).__name__
-        backend = f" backend={self.backend}" if self.backend else ""
-        return f"{perm}/{self.method} seed={self.seed} engine={self.engine}{backend}"
+        return f"{perm}/{self.method} seed={self.seed} engine={self.engine}"
 
 
 def execution_key(
@@ -174,10 +172,8 @@ def execution_key(
     Mirrors :func:`~repro.pdm.cache.plan_key`'s discipline: everything
     that shapes the observable result is in -- the named permutation
     (resolved deterministically from seed/rank_gamma), geometry, method,
-    seed, engine, optimizer and capture settings -- while ``backend``
-    stays *out*, because backends are bit-identical by the conformance
-    contract.  ``timeout``/``deadline`` stay out too: they bound *when*
-    a result may arrive, never *what* it is.
+    seed, engine, optimizer and capture settings.  ``timeout``/``deadline``
+    stay out: they bound *when* a result may arrive, never *what* it is.
 
     Returns ``None`` for requests that are not coalescible: a ready
     :class:`~repro.perms.base.Permutation` object has no value identity
@@ -290,14 +286,9 @@ def _execute_request(
     system: ParallelDiskSystem,
     request: PermutationRequest,
     cache,
-    backend=None,
 ) -> tuple[RunReport, str | None]:
     """Run one request on a clean system; shared by workers and the
-    sequential reference.  The system must already be reset.
-
-    ``backend`` is the caller's default kernel backend (the service's
-    per-worker choice); a request-level ``backend`` overrides it.
-    """
+    sequential reference.  The system must already be reset."""
     system.fill_identity(request.source_portion)
     perm = request.perm
     if isinstance(perm, str):
@@ -316,7 +307,6 @@ def _execute_request(
         cache=cache,
         seed=request.seed,
         stream_records=request.stream_records,
-        backend=request.backend if request.backend is not None else backend,
     )
     digest = None
     if request.capture_portion:
@@ -326,9 +316,7 @@ def _execute_request(
     return report, digest
 
 
-def run_sequential(
-    geometry: DiskGeometry, requests, cache=None, backend=None
-) -> list[ServiceResult]:
+def run_sequential(geometry: DiskGeometry, requests, cache=None) -> list[ServiceResult]:
     """The single-threaded reference semantics for a request batch.
 
     One fresh system per request, strictly in submission order, no pool,
@@ -347,9 +335,7 @@ def run_sequential(
         try:
             system = ParallelDiskSystem(request.geometry or geometry)
             with run_scope(trace=trace):
-                result.report, result.digest = _execute_request(
-                    system, request, cache, backend=backend
-                )
+                result.report, result.digest = _execute_request(system, request, cache)
         except Exception as exc:
             result.error = exc
         result.elapsed = time.perf_counter() - t0
@@ -379,7 +365,6 @@ def synthetic_mix(
     seed: int = 0,
     distinct_seeds: int = 2,
     engine: str = "fast",
-    backend: str | None = None,
     optimize: bool = True,
     verify: bool = True,
     capture_portion: bool = False,
@@ -400,7 +385,6 @@ def synthetic_mix(
                 method=method,
                 seed=seed + (i // len(_MIX_TEMPLATES)) % max(1, distinct_seeds),
                 engine=engine,
-                backend=backend,
                 optimize=optimize,
                 verify=verify,
                 capture_portion=capture_portion,

@@ -316,7 +316,6 @@ class WorkloadSpec:
     geometry: dict | None = None
     geometries: tuple = ()
     engine: str = "fast"
-    backend: str | None = None
     optimize: bool = True
     verify: bool = False
     capture_portion: bool = True
@@ -428,7 +427,6 @@ def _key_catalog(spec: WorkloadSpec) -> list[PermutationRequest]:
         seed=spec.seed,
         distinct_seeds=max(1, spec.key_space),
         engine=spec.engine,
-        backend=spec.backend,
         optimize=spec.optimize,
         verify=spec.verify,
         capture_portion=spec.capture_portion,

@@ -9,18 +9,12 @@ must produce byte-identical portions and identical
 :class:`~repro.pdm.stats.IOStats` (pass tables and memory envelope
 included) across the full combination matrix
 
-    {strict, fast-numpy, fast-parallel} x {optimize on/off}
-        x {cache cold/warm} x {streamed/unstreamed}
+    {strict, fast} x {optimize on/off} x {cache cold/warm}
+        x {streamed/unstreamed}
 
 over several geometries.  The reference cell is strict / unoptimized /
 uncached / unstreamed -- the per-operation replay with full model-rule
 enforcement, i.e. the hand-written performers' semantics.
-
-The parallel cells run a deliberately tiny-chunked
-:class:`~repro.pdm.engine.ParallelBackend` (2 workers, 64-record
-chunks, no minimum) so the sharded gather/scatter paths genuinely
-trigger on these small geometries instead of falling back to numpy
-below the production crossover.
 
 Knobs a planner does not support collapse to no-ops for that planner
 (the general sort's schedule is data-dependent and uncached; detection
@@ -32,8 +26,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bits.random import random_mld_matrix, random_mrc_matrix, random_nonsingular
 from repro.core.bmmc_algorithm import perform_bmmc
@@ -47,22 +39,12 @@ from repro.core.inverse_mld import (
 from repro.core.mld_algorithm import perform_mld_pass
 from repro.core.mrc_algorithm import perform_mrc_pass
 from repro.pdm.cache import PlanCache
-from repro.pdm.engine import ParallelBackend
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.system import ParallelDiskSystem
 from repro.perms.base import ExplicitPermutation
 from repro.perms.bmmc import BMMCPermutation
 
 SEED = 0x5EED
-
-#: Forced-sharding parallel backend: every kernel call above 64 records
-#: splits across 2 workers, so the conformance geometries (N = 2^10 ..
-#: 2^12) exercise the threaded paths rather than the numpy fallback.
-TINY_PARALLEL = ParallelBackend(workers=2, min_records=0, chunk_records=64)
-
-#: Backend instances by matrix cell name.  ``None`` (strict cells) means
-#: the knob is not passed at all.
-BACKEND_INSTANCES = {None: None, "numpy": "numpy", "parallel": TINY_PARALLEL}
 
 #: Several geometries: the default shape, a wider-disk shape, and a
 #: small one with deep stripes.  All admit every planner in the matrix
@@ -75,21 +57,15 @@ GEOMETRIES = [
 
 ENGINES = ("strict", "fast")
 
-#: Executor cells: (engine, backend name).  Strict replays operations
-#: one at a time and has no kernel backend; the fast engine runs under
-#: both the numpy reference kernels and the sharded parallel kernels.
-EXECUTORS = (("strict", None), ("fast", "numpy"), ("fast", "parallel"))
-
 #: The full combination matrix.  ``cached`` cells execute twice through
 #: one fresh PlanCache -- cold (miss, compile, store) then warm (hit).
-MATRIX = list(itertools.product(EXECUTORS, (False, True), (False, True), (False, True)))
+MATRIX = list(itertools.product(ENGINES, (False, True), (False, True), (False, True)))
 
 
 def _combo_id(combo):
-    (engine, backend), optimize, cached, streamed = combo
-    executor = engine if backend is None else f"{engine}-{backend}"
+    engine, optimize, cached, streamed = combo
     return (
-        f"{executor}-{'opt' if optimize else 'plain'}-"
+        f"{engine}-{'opt' if optimize else 'plain'}-"
         f"{'cached' if cached else 'uncached'}-"
         f"{'streamed' if streamed else 'whole'}"
     )
@@ -131,19 +107,19 @@ class Spec:
     def fresh(self, g: DiskGeometry) -> ParallelDiskSystem:
         return identity_system(g)
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         raise NotImplementedError
 
 
 class MLDSpec(Spec):
     name = "mld"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         perform_mld_pass(
             system, perm, engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return None
 
@@ -151,12 +127,12 @@ class MLDSpec(Spec):
 class MRCSpec(Spec):
     name = "mrc"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mrc_matrix(g.n, g.m, rng), 3 % g.N)
         perform_mrc_pass(
             system, perm, engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return None
 
@@ -164,12 +140,12 @@ class MRCSpec(Spec):
 class InverseMLDSpec(Spec):
     name = "inv-mld"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng)).inverse()
         perform_inverse_mld_pass(
             system, perm, engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return None
 
@@ -177,13 +153,13 @@ class InverseMLDSpec(Spec):
 class CompositionSpec(Spec):
     name = "composition"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         rng = np.random.default_rng(SEED)
         x = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         y = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         composed = perform_mld_composition_pass(
             system, y, x, engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return (composed.matrix, composed.complement)
 
@@ -191,12 +167,12 @@ class CompositionSpec(Spec):
 class BMMCSpec(Spec):
     name = "bmmc"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_nonsingular(g.n, rng), 5 % g.N)
         result = perform_bmmc(
             system, perm, engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return (result.final_portion, result.parallel_ios, len(result.steps))
 
@@ -205,11 +181,11 @@ class GeneralSortSpec(Spec):
     name = "general-sort"
     supports_cache = False  # schedule is data-dependent, never cached
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         perm = ExplicitPermutation(np.random.default_rng(SEED).permutation(g.N))
         result = perform_general_sort(
             system, perm, engine=engine, optimize=optimize,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return (result.final_portion, result.passes, result.parallel_ios)
 
@@ -217,11 +193,11 @@ class GeneralSortSpec(Spec):
 class DistributionSortSpec(Spec):
     name = "distribution-sort"
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         perm = ExplicitPermutation(np.random.default_rng(SEED).permutation(g.N))
         result = perform_distribution_sort(
             system, perm, seed=11, engine=engine, optimize=optimize,
-            cache=cache, stream_records=stream_records, backend=backend,
+            cache=cache, stream_records=stream_records,
         )
         return (result.final_portion, result.passes, result.parallel_ios)
 
@@ -238,7 +214,7 @@ class DetectionSpec(Spec):
         store_target_vector(s, perm)
         return s
 
-    def run(self, system, g, engine, optimize, cache, stream_records, backend):
+    def run(self, system, g, engine, optimize, cache, stream_records):
         # Pin the chunking so strict and fast issue identical plans.
         result = detect_bmmc(
             system, engine=engine, verify_chunk=g.stripes_per_memoryload
@@ -275,18 +251,17 @@ SPECS = [
 def test_conformance_matrix(spec, geom):
     g = DiskGeometry(**geom)
     ref_system = spec.fresh(g)
-    ref_result = spec.run(ref_system, g, "strict", False, None, 0, None)
+    ref_result = spec.run(ref_system, g, "strict", False, None, 0)
 
     for combo in MATRIX:
-        (engine, backend_name), optimize, cached, streamed = combo
-        backend = BACKEND_INSTANCES[backend_name]
+        engine, optimize, cached, streamed = combo
         tag = f"{spec.name}/{_combo_id(combo)}"
         cache = PlanCache() if (cached and spec.supports_cache) else None
         stream = g.M if streamed else 0
         rounds = 2 if cached else 1  # cold miss, then warm hit
         for i in range(rounds):
             system = spec.fresh(g)
-            result = spec.run(system, g, engine, optimize, cache, stream, backend)
+            result = spec.run(system, g, engine, optimize, cache, stream)
             round_tag = f"{tag}/{'warm' if i else 'cold'}"
             assert_same_observable_state(ref_system, system, round_tag)
             assert result == ref_result, f"{round_tag}: results differ"
@@ -308,49 +283,15 @@ def test_streamed_cells_actually_stream():
         random_mld_matrix(g.n, g.b, g.m, np.random.default_rng(SEED))
     )
     plan = plan_mld_pass(g, perm)
-    for engine, backend_name in EXECUTORS:
+    for engine in ENGINES:
         s = identity_system(g)
-        report = execute_plan(
-            s, plan, engine=engine,
-            stream_records=g.M, backend=BACKEND_INSTANCES[backend_name],
-        )
-        assert report.streamed_passes == 1, (engine, backend_name)
+        report = execute_plan(s, plan, engine=engine, stream_records=g.M)
+        assert report.streamed_passes == 1, engine
         assert report.host_peak_records <= g.M
 
 
 def test_matrix_covers_every_combination():
-    """24 cells: 3 executors x 2 optimize x 2 cache x 2 streaming."""
-    assert len(MATRIX) == 24
-    assert len(set(MATRIX)) == 24
+    """16 cells: 2 engines x 2 optimize x 2 cache x 2 streaming."""
+    assert len(MATRIX) == 16
+    assert len(set(MATRIX)) == 16
 
-
-# --------------------------------------------------------------------------
-# property: the parallel backend is observationally strict
-# --------------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(min_value=8, max_value=11),
-    b=st.integers(min_value=2, max_value=3),
-    d=st.integers(min_value=1, max_value=2),
-    extra_m=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_parallel_backend_matches_strict_property(n, b, d, extra_m, seed):
-    """Random BMMC permutations on random geometries: the fast engine on
-    the forced tiny-chunk parallel backend must be byte- and
-    stats-identical to the strict replay."""
-    m = min(n - 1, b + d + extra_m)
-    g = DiskGeometry(N=2**n, B=2**b, D=2**d, M=2**m)
-    rng = np.random.default_rng(seed)
-    perm = BMMCPermutation(random_nonsingular(g.n, rng), int(rng.integers(g.N)))
-
-    ref = identity_system(g)
-    ref_result = perform_bmmc(ref, perm)
-
-    got = identity_system(g)
-    result = perform_bmmc(got, perm, engine="fast", backend=TINY_PARALLEL)
-
-    assert_same_observable_state(ref, got, f"property-seed{seed}")
-    assert result.final_portion == ref_result.final_portion
-    assert result.parallel_ios == ref_result.parallel_ios

@@ -112,13 +112,6 @@ class TestExecutionKey:
             replace(HOT), GEOMETRY
         )
 
-    def test_backend_is_not_part_of_the_key(self):
-        # Like plan_key: the backend changes *how* the bytes are moved,
-        # never which bytes, so backend-diverse duplicates may coalesce.
-        assert execution_key(HOT, GEOMETRY) == execution_key(
-            replace(HOT, backend="parallel"), GEOMETRY
-        )
-
     @pytest.mark.parametrize(
         "variant",
         [

@@ -5,8 +5,8 @@ one pass boundary and surfaces ``DeadlineExceeded`` on its result;
 non-cancelled requests stay byte-identical to the sequential strict
 reference.  Expiry is forced deterministically -- injected pass latency
 (a seeded ``FaultPlan``) plus a timeout smaller than one sleep -- and
-asserted under all three execution paths (strict, fast-numpy,
-fast-parallel) and during a cold-compile latch wait.
+asserted under both execution paths (strict, fast-numpy) and during a
+cold-compile latch wait.
 """
 
 import threading
@@ -17,7 +17,6 @@ import pytest
 from repro.errors import DeadlineExceeded, RequestCancelled
 from repro.pdm.cache import ShardedPlanCache, compile_plan
 from repro.pdm.cancel import CancellationToken, checkpoint, current_token, run_scope
-from repro.pdm.engine import ParallelBackend
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
 from repro.serve import (
@@ -39,9 +38,8 @@ TIMEOUT = 0.02
 #: ``optimize=False`` on the fast paths keeps those boundaries physical
 #: (full cross-pass fusion would collapse them into one kernel).
 _PATHS = [
-    pytest.param("strict", None, True, id="strict"),
-    pytest.param("fast", None, False, id="fast-numpy"),
-    pytest.param("fast", "parallel-forced", False, id="fast-parallel"),
+    pytest.param("strict", True, id="strict"),
+    pytest.param("fast", False, id="fast-numpy"),
 ]
 
 
@@ -54,12 +52,6 @@ def _expiring_request(engine, optimize):
         timeout=TIMEOUT,
         verify=False,
     )
-
-
-def _backend_for(tag):
-    if tag == "parallel-forced":
-        return ParallelBackend(workers=2, min_records=64, chunk_records=64)
-    return tag
 
 
 class TestTokenPrimitives:
@@ -105,13 +97,9 @@ class TestTokenPrimitives:
 
 
 class TestDeadlineExpiry:
-    @pytest.mark.parametrize("engine,backend_tag,optimize", _PATHS)
-    def test_expires_mid_request_and_frees_worker(
-        self, engine, backend_tag, optimize
-    ):
-        with PermutationService(
-            GEOMETRY, workers=1, faults=SLOW, backend=_backend_for(backend_tag)
-        ) as service:
+    @pytest.mark.parametrize("engine,optimize", _PATHS)
+    def test_expires_mid_request_and_frees_worker(self, engine, optimize):
+        with PermutationService(GEOMETRY, workers=1, faults=SLOW) as service:
             expired = service.submit(_expiring_request(engine, optimize)).result()
             # the single worker is free again: an undeadlined request runs
             healthy = service.submit(

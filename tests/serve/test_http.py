@@ -7,6 +7,7 @@ code with a structured JSON error body, sync and async submission both
 work, and shutdown drains without connection resets.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -150,6 +151,24 @@ class TestIntrospection:
         assert body["status"] == "ok"
         assert body["workers"] == 2
 
+    def test_keep_alive_requests_do_not_stall(self, geometry):
+        # Nagle + delayed ACK would hold each response's body back by
+        # tens of milliseconds on a reused connection.
+        with make_frontend(geometry, workers=1) as fe:
+            host, port = fe.url.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=5)
+            try:
+                t0 = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - t0
+            finally:
+                conn.close()
+        assert elapsed < 0.4
+
     def test_stats_counts_requests(self, geometry):
         with make_frontend(geometry, workers=2) as fe:
             http_json("POST", fe.url, "/permutations", dict(TRANSPOSE))
@@ -185,6 +204,7 @@ class TestIntrospection:
         assert config["breaker"]["threshold"] == 2
         assert config["geometry"] == GEOMETRY
         assert "/permutations" in config["routes"]
+        assert "backend" not in config
 
     def test_metrics_page_parses_and_reconciles(self, geometry):
         with make_frontend(geometry, workers=2) as fe:
@@ -217,14 +237,17 @@ class TestIntrospection:
 
 class TestErrorTaxonomy:
     def test_validation_error_is_400(self, geometry):
+        # "backend" was a request field once; it is now as unknown as any
         with make_frontend(geometry, workers=1) as fe:
-            status, body = http_json(
-                "POST", fe.url, "/permutations", {"no_such_field": 1}
-            )
-        assert status == 400
-        assert body["error"]["type"] == "ValidationError"
-        assert "no_such_field" in body["error"]["message"]
-        assert body["error"]["status"] == 400
+            for field in ("no_such_field", "backend"):
+                status, body = http_json(
+                    "POST", fe.url, "/permutations", dict(TRANSPOSE, **{field: 1})
+                )
+                assert status == 400
+                assert body["error"]["type"] == "ValidationError"
+                assert "unknown request fields" in body["error"]["message"]
+                assert field in body["error"]["message"]
+                assert body["error"]["status"] == 400
 
     def test_unknown_perm_name_is_400(self, geometry):
         # the name is only resolved on a worker, so this arrives as a

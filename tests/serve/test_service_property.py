@@ -9,7 +9,6 @@ typically the two-request pair whose interaction broke isolation.
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +47,6 @@ def requests_strategy(draw):
     )
 
 
-@pytest.mark.slow
 @settings(
     max_examples=12,
     deadline=None,
@@ -73,7 +71,6 @@ def test_service_equals_sequential_runner(requests):
         assert got.digest == want.digest
 
 
-@pytest.mark.slow
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(requests_strategy(), min_size=1, max_size=4))
 def test_engine_choice_invisible_in_service(requests):
