@@ -21,6 +21,11 @@ import numpy as np
 from repro.bits import linalg
 from repro.bits.colops import is_mld_form
 from repro.bits.matrix import BitMatrix
+from repro.core.mld_algorithm import (
+    affine_halves,
+    block_memoryloads,
+    disk_major_blocks,
+)
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
@@ -97,43 +102,35 @@ def plan_inverse_mld_pass(
     source blocks, ``M/BD`` per disk; read them with ``M/BD``
     independent parallel reads, rearrange in memory (slot permutation),
     and write the target memoryload with ``M/BD`` striped writes.
-    Total: ``2N/BD`` parallel I/Os.
+    Total: ``2N/BD`` parallel I/Os.  The Lemma 13 and property 3
+    assertions run over all memoryloads at once, and still raise
+    :class:`NotInClassError` with ``check_class=False``.
     """
     g = geometry
     if check_class:
         require_inverse_mld(perm, g.b, g.m)
-    inverse = perm.inverse()
-    blocks_per_ml = g.blocks_per_memoryload
-    reads_per_ml = g.stripes_per_memoryload
+    hi, lo = affine_halves(perm, g)  # the target of every source address
+    target_ml = block_memoryloads(
+        g, hi, lo,
+        "target memoryload does not gather from full source "
+        "blocks; the inverse kernel condition is violated",
+    )
+    read_ids = disk_major_blocks(
+        g, target_ml, "source blocks not spread evenly over disks"
+    )
+    slot_of_block = np.empty(g.num_blocks, dtype=np.int64)
+    slot_of_block[read_ids] = np.arange(0, g.N, g.B, dtype=np.int64)
+    # The striped writes put every target memoryload down in address
+    # order, each record from the slot its source address was read to.
+    inv_hi, inv_lo = affine_halves(perm.inverse(), g)
+    sources = (inv_hi[:, None] ^ inv_lo).reshape(-1)
+    write_source = slot_of_block[sources >> g.b] + (sources & (g.B - 1))
     builder = PlanBuilder(g)
-    builder.begin_pass(label)
-    for ml in range(g.num_memoryloads):
-        targets = g.memoryload_addresses(ml).astype(np.uint64)
-        sources = np.asarray(inverse.apply_array(targets), dtype=np.int64)
-        order = np.argsort(sources)
-        sorted_sources = sources[order]
-
-        per_block = sorted_sources.reshape(blocks_per_ml, g.B)
-        block_ids = per_block[:, 0] >> g.b
-        if not (per_block >> g.b == block_ids[:, None]).all():
-            raise NotInClassError(
-                "target memoryload does not gather from full source "
-                "blocks; the inverse kernel condition is violated"
-            )
-        disks = g.block_disk(block_ids)
-        if not (np.bincount(disks, minlength=g.D) == reads_per_ml).all():
-            raise NotInClassError("source blocks not spread evenly over disks")
-
-        # Independent reads: one block per disk per parallel read.
-        disk_order = np.argsort(disks, kind="stable")
-        grouped = block_ids[disk_order].reshape(g.D, reads_per_ml)
-        slot_parts = [builder.read(source_portion, grouped[:, i]) for i in range(reads_per_ml)]
-        read_order_ids = grouped.T.reshape(-1)
-        slot_of = _slot_of_block(g, read_order_ids, np.concatenate(slot_parts))
-
-        # ``sources`` is aligned to ascending target addresses, so the
-        # slot permutation below *is* the in-memory rearrangement.
-        builder.write_memoryload(target_portion, ml, slot_of(sources))
+    builder.add_memoryload_pass(
+        label,
+        source_portion, read_ids,
+        target_portion, np.arange(g.num_blocks, dtype=np.int64), write_source,
+    )
     return builder.build()
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.mld_algorithm import affine_halves
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
@@ -32,30 +33,40 @@ def plan_mrc_pass(
     source_portion: int = 0,
     target_portion: int = 1,
     label: str = "mrc",
+    check_class: bool = True,
 ) -> IOPlan:
     """Plan an MRC permutation as one pass of striped reads and writes.
 
     Raises :class:`NotInClassError` if ``perm`` is not MRC for the
-    geometry's memory size.
+    geometry's memory size.  With ``check_class=False`` the form check
+    is skipped, but the in-flight check that every memoryload lands in
+    one memoryload still raises it.
     """
     g = geometry
-    require_mrc(perm, g.m)
+    if check_class:
+        require_mrc(perm, g.m)
+    # The source of every target address (``hi[tml] ^ lo[o]``).
+    # Memoryloads are read in address order, so a source address is
+    # also its stream slot.
+    hi, lo = affine_halves(perm.inverse(), g)
+    # MRC guarantee, for every memoryload at once: a memoryload's
+    # sources lie in one memoryload, ``hi[tml] >> m``.
+    if (lo >> g.m).any():
+        raise NotInClassError(
+            "memoryload scattered across target memoryloads; "
+            "matrix is not MRC despite passing the form check"
+        )
+    target_ml = np.empty(g.num_memoryloads, dtype=np.int64)
+    target_ml[hi >> g.m] = np.arange(g.num_memoryloads, dtype=np.int64)
+    per_ml = g.blocks_per_memoryload
+    write_ids = target_ml[:, None] * per_ml + np.arange(per_ml, dtype=np.int64)
+    write_source = hi[target_ml][:, None] ^ lo
     builder = PlanBuilder(g)
-    builder.begin_pass(label)
-    for ml in range(g.num_memoryloads):
-        slots = builder.read_memoryload(source_portion, ml)
-        addresses = g.memoryload_addresses(ml).astype(np.uint64)
-        targets = np.asarray(perm.apply_array(addresses), dtype=np.int64)
-        order = np.argsort(targets)
-        sorted_targets = targets[order]
-        target_ml = int(sorted_targets[0]) >> g.m
-        # MRC guarantee: the whole memoryload lands in one memoryload.
-        if int(sorted_targets[-1]) >> g.m != target_ml:
-            raise NotInClassError(
-                "memoryload scattered across target memoryloads; "
-                "matrix is not MRC despite passing the form check"
-            )
-        builder.write_memoryload(target_portion, target_ml, slots[order])
+    builder.add_memoryload_pass(
+        label,
+        source_portion, np.arange(g.num_blocks, dtype=np.int64),
+        target_portion, write_ids.reshape(-1), write_source.reshape(-1),
+    )
     return builder.build()
 
 

@@ -41,11 +41,15 @@ buffer.  Planner-emitted passes
 retire a memoryload's slots as soon as its writes are planned, so their
 live set is ~M and arbitrarily large N executes in bounded host memory.
 Every ``execute_plan`` call returns an :class:`ExecReport` recording
-the observed host peak.
+the observed host peak.  The fast engine keeps its stream and write
+payload buffers per thread and reuses them from call to call, and it
+reads (or checks) a pass's blocks as one slice when they cover a
+contiguous address range.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +84,38 @@ ENGINES = ("strict", "fast")
 STREAM_AUTO_RECORDS = 1 << 22
 
 _I64_MAX = np.iinfo(np.int64).max
+
+_HOST = threading.local()
+
+
+def _host_buffer(slot: str, n: int, dtype) -> np.ndarray:
+    """A reusable ``n``-record host buffer of the calling thread.
+
+    Read streams and write payloads live only for one pass, so a thread
+    that executes again (a service worker, a benchmark loop) reuses the
+    same pages instead of faulting fresh ones in every time.  Buffers
+    grow on demand up to :data:`STREAM_AUTO_RECORDS`; larger requests
+    get a fresh array.
+    """
+    if n > STREAM_AUTO_RECORDS:
+        return np.empty(n, dtype=dtype)
+    bufs = getattr(_HOST, "bufs", None)
+    if bufs is None:
+        bufs = _HOST.bufs = {}
+    buf = bufs.get(slot)
+    if buf is None or buf.size < n or buf.dtype != dtype:
+        buf = bufs[slot] = np.empty(n, dtype=dtype)
+    return buf[:n]
+
+
+def _gather(stream: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``stream[slots]`` into the thread's reusable payload buffer.
+
+    ``mode="wrap"`` keeps ``np.take`` from buffering ``out``; the slots
+    are audited to lie inside the stream, so nothing wraps.
+    """
+    out = _host_buffer("payload", slots.size, stream.dtype)
+    return np.take(stream, slots, out=out, mode="wrap")
 
 
 @dataclass(frozen=True)
@@ -128,10 +164,11 @@ class _FusedPass:
         "label", "num_steps",
         "read_ids", "read_sizes", "read_portions", "read_striped",
         "read_consume_default", "read_consume_value", "read_discard",
-        "read_addr", "rec_read_portion",
+        "read_addr",
         "write_ids", "write_sizes", "write_portions", "write_striped",
-        "write_addr", "write_source", "rec_write_portion",
+        "write_addr", "write_source",
         "write_source_max", "write_source_min",
+        "read_span", "write_span", "memory",
         "is_read", "step_sizes", "reads_before",
         "read_before", "write_before", "read_rec_cum", "write_rec_cum",
         "checked_for",  # (num_portions, simple_io) the checks last ran against
@@ -180,6 +217,27 @@ def _write_source_extrema(B, write_sizes, write_source):
         np.full(write_sizes.size, _I64_MAX, dtype=np.int64),
         np.full(write_sizes.size, -1, dtype=np.int64),
     )
+
+
+def _read_span(g: DiskGeometry, portions, ids):
+    """``(portion, lo, hi)`` when the reads stream one portion's address
+    range ``[lo, hi)`` in address order, else ``None``."""
+    if ids.size == 0 or (portions != portions[0]).any():
+        return None
+    if ids.size > 1 and (np.diff(ids) != 1).any():
+        return None
+    return int(portions[0]), int(ids[0]) << g.b, (int(ids[-1]) + 1) << g.b
+
+
+def _write_span(g: DiskGeometry, portions, ids):
+    """``(portion, lo, hi)`` when the writes cover one portion's address
+    range ``[lo, hi)`` exactly once, in any order, else ``None``."""
+    if ids.size == 0 or (portions != portions[0]).any():
+        return None
+    first, last = int(ids.min()), int(ids.max())
+    if last - first + 1 != ids.size or np.bincount(ids - first).max() > 1:
+        return None
+    return int(portions[0]), first << g.b, (last + 1) << g.b
 
 
 def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
@@ -234,8 +292,9 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     offsets = np.arange(B, dtype=np.int64)[None, :]
     f.read_addr = ((f.read_ids[:, None] << g.b) + offsets).reshape(-1)
     f.write_addr = ((f.write_ids[:, None] << g.b) + offsets).reshape(-1)
-    f.rec_read_portion = np.repeat(f.read_portions, f.read_sizes * B)
-    f.rec_write_portion = np.repeat(f.write_portions, f.write_sizes * B)
+    f.read_span = _read_span(g, f.read_portions, f.read_ids)
+    f.write_span = _write_span(g, f.write_portions, f.write_ids)
+    f.memory = None  # see _check_memory
 
     pas._fused["fused"] = f
     return f
@@ -267,7 +326,7 @@ def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
             raise ValidationError(f"pass {f.label!r}: portion out of range")
         step_of = np.repeat(np.arange(step_sizes.size, dtype=np.int64), step_sizes)
         keys = step_of * g.D + (ids & (g.D - 1))
-        if np.unique(keys).size != keys.size:
+        if np.bincount(keys).max() > 1:
             raise DiskConflictError(
                 f"pass {f.label!r}: at most one block per disk per parallel I/O"
             )
@@ -287,28 +346,35 @@ def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
             )
 
 
+def _block_keys(g: DiskGeometry, portions, sizes, ids) -> np.ndarray:
+    """Portion-qualified block keys, ``portion * num_blocks + id``."""
+    return np.repeat(portions * g.num_blocks, sizes) + ids
+
+
 def _check_fusable(g: DiskGeometry, simple_io: bool, f: _FusedPass) -> None:
-    """Reject order-dependent block touches that fusion would reorder."""
-    wkeys = f.rec_write_portion[:: g.B] * g.num_blocks + f.write_ids if f.write_ids.size else f.write_ids
-    rkeys = f.rec_read_portion[:: g.B] * g.num_blocks + f.read_ids if f.read_ids.size else f.read_ids
-    if wkeys.size and np.unique(wkeys).size != wkeys.size:
+    """Reject order-dependent block touches that fusion would reorder.
+
+    Block keys are bounded by ``num_portions * num_blocks``, so each
+    check is a ``bincount`` over that range, not a sort.
+    """
+    wkeys = _block_keys(g, f.write_portions, f.write_sizes, f.write_ids)
+    rkeys = _block_keys(g, f.read_portions, f.read_sizes, f.read_ids)
+    bins = int(max(wkeys.max(initial=-1), rkeys.max(initial=-1))) + 1
+    wcount = np.bincount(wkeys, minlength=bins)
+    rcount = np.bincount(rkeys, minlength=bins)
+    if wkeys.size and wcount.max() > 1:
         raise PlanError(
             f"pass {f.label!r} writes a block twice; fused execution would "
             "reorder the writes -- use the strict engine"
         )
-    if rkeys.size:
-        uniq, counts = np.unique(rkeys, return_counts=True)
-        dup = uniq[counts > 1]
-        if dup.size:
-            block_consume = np.repeat(
-                f.resolved_consume(simple_io), f.read_sizes
+    if rkeys.size and rcount.max() > 1:
+        block_consume = np.repeat(f.resolved_consume(simple_io), f.read_sizes)
+        if (rcount[rkeys[block_consume]] > 1).any():
+            raise PlanError(
+                f"pass {f.label!r} re-reads a consumed block; fused "
+                "execution cannot preserve the order -- use the strict engine"
             )
-            if np.isin(rkeys[block_consume], dup).any():
-                raise PlanError(
-                    f"pass {f.label!r} re-reads a consumed block; fused "
-                    "execution cannot preserve the order -- use the strict engine"
-                )
-    if wkeys.size and rkeys.size and np.intersect1d(wkeys, rkeys).size:
+    if wkeys.size and rkeys.size and (wcount[rkeys] > 0).any():
         raise PlanError(
             f"pass {f.label!r} both reads and writes a block; fused execution "
             "would reorder the touches -- use the strict engine"
@@ -346,44 +412,56 @@ class _PassMemory:
     net: int
 
 
+def _memory_profile(g: DiskGeometry, f: _FusedPass) -> tuple[int, int, int, int]:
+    """One pass's record-count memory relative to its start:
+    ``(highest occupancy, lowest running total, highest occupancy at a
+    read, net)``.  Discarding reads allocate-and-release within their
+    own step, so they add a transient spike but nothing to the net."""
+    sizes = f.step_sizes * g.B
+    step_discard = np.zeros(f.num_steps, dtype=bool)
+    if f.read_discard.size and f.read_discard.any():
+        step_discard[f.is_read] = f.read_discard
+    deltas = np.where(f.is_read, np.where(step_discard, 0, sizes), -sizes)
+    transient = np.where(step_discard, sizes, 0)
+    prefix = np.cumsum(deltas)
+    if not prefix.size:
+        return 0, 0, 0, 0
+    occupancy = prefix + transient
+    read_occ = occupancy[f.is_read]
+    return (
+        int(occupancy.max()),
+        int(prefix.min()),
+        int(read_occ.max()) if read_occ.size else 0,
+        int(prefix[-1]),
+    )
+
+
 def _check_memory(
     g: DiskGeometry, capacity: int, in_use_start: int, fused: list[_FusedPass]
 ) -> tuple[int, int, list[_PassMemory]]:
     """Simulate the record-count memory across all passes; return
     (overall peak, net delta, per-pass :class:`_PassMemory` list).
 
-    Discarding reads allocate-and-release within their own step, so they
-    contribute a transient spike to the peak but nothing to the net.
+    Each pass's profile is a pure function of the pass, cached with its
+    fused metadata; only the start offset differs between executions.
     """
     in_use = in_use_start
     overall_peak = 0
     per_pass: list[_PassMemory] = []
     for f in fused:
-        sizes = f.step_sizes * g.B
-        step_discard = np.zeros(f.num_steps, dtype=bool)
-        if f.read_discard.size and f.read_discard.any():
-            step_discard[f.is_read] = f.read_discard
-        deltas = np.where(f.is_read, np.where(step_discard, 0, sizes), -sizes)
-        transient = np.where(step_discard, sizes, 0)
-        prefix = np.cumsum(deltas)
-        occupancy = prefix + transient
-        if prefix.size:
-            hi = int(occupancy.max())
-            if in_use + hi > capacity:
-                raise MemoryCapacityError(
-                    f"pass {f.label!r} would hold {in_use + hi} > "
-                    f"M={capacity} records in memory"
-                )
-            if in_use + int(prefix.min()) < 0:
-                raise MemoryCapacityError(
-                    f"pass {f.label!r} releases more records than are resident"
-                )
-            read_occ = occupancy[f.is_read]
-            pass_peak = in_use + int(read_occ.max()) if read_occ.size else in_use
-            net = int(prefix[-1])
-        else:
-            pass_peak, net = in_use, 0
-        mem = _PassMemory(peak=max(pass_peak, in_use), net=net)
+        if f.memory is None:
+            f.memory = _memory_profile(g, f)
+        hi, lo, read_hi, net = f.memory
+        if in_use + hi > capacity:
+            raise MemoryCapacityError(
+                f"pass {f.label!r} would hold {in_use + hi} > "
+                f"M={capacity} records in memory"
+            )
+        if in_use + lo < 0:
+            raise MemoryCapacityError(
+                f"pass {f.label!r} releases more records than are resident"
+            )
+        mem = _PassMemory(peak=in_use + max(read_hi, 0), net=net)
         per_pass.append(mem)
         in_use += net
         overall_peak = max(overall_peak, mem.peak)
@@ -526,21 +604,26 @@ def _execute_strict(
 
 
 # ----------------------------------------------------------------- fast mode
-def _portion_groups(portions: np.ndarray, rec_portions: np.ndarray):
-    """Yield ``(portion, record_indexer)`` pairs; a full slice when uniform."""
-    uniq = np.unique(portions)
-    if uniq.size <= 1:
-        if uniq.size:
-            yield int(uniq[0]), slice(None)
+def _portion_groups(portions: np.ndarray, sizes, B: int):
+    """Yield ``(portion, record_indexer)`` pairs over the records of
+    steps with these portions and block counts: one full slice when the
+    steps share a portion, else a record mask per portion (built here,
+    only for a pass that mixes portions)."""
+    if portions.size == 0:
         return
-    for p in uniq:
+    first = portions[0]
+    if (portions == first).all():
+        yield int(first), slice(None)
+        return
+    rec_portions = np.repeat(portions, np.asarray(sizes) * B)
+    for p in np.unique(portions):
         yield int(p), rec_portions == p
 
 
 def _require_write_targets_empty(
     system: ParallelDiskSystem,
     write_portions: np.ndarray,
-    rec_wport: np.ndarray,
+    write_sizes: np.ndarray,
     write_addr: np.ndarray,
 ) -> None:
     """The simple-I/O write-to-empty rule, vectorized over record addrs.
@@ -551,7 +634,7 @@ def _require_write_targets_empty(
     """
     g = system.geometry
     data = system._data
-    for portion, idx in _portion_groups(write_portions, rec_wport):
+    for portion, idx in _portion_groups(write_portions, write_sizes, g.B):
         if isinstance(idx, slice):
             values = data[portion][write_addr]
         else:
@@ -562,6 +645,27 @@ def _require_write_targets_empty(
             raise BlockStateError(
                 f"writing to non-empty blocks under simple I/O: {list(bad)}"
             )
+
+
+def _require_span_empty(system: ParallelDiskSystem, span) -> None:
+    """The write-to-empty rule over a write span: one contiguous read."""
+    portion, lo, hi = span
+    occupied = ~system._is_empty(system._data[portion][lo:hi])
+    if occupied.any():
+        bad = np.unique((lo + np.flatnonzero(occupied)) >> system.geometry.b)
+        raise BlockStateError(
+            f"writing to non-empty blocks under simple I/O: {list(bad)}"
+        )
+
+
+def _require_pass_targets_empty(system: ParallelDiskSystem, f: _FusedPass) -> None:
+    """The write-to-empty rule over all of a fused pass's writes."""
+    if f.write_span is not None:
+        _require_span_empty(system, f.write_span)
+    elif f.write_addr.size:
+        _require_write_targets_empty(
+            system, f.write_portions, f.write_sizes, f.write_addr
+        )
 
 
 def _stream_budget(stream_records) -> int | None:
@@ -654,9 +758,12 @@ def _apply_segment(
     s0: int,
     s1: int,
     write_keep: np.ndarray | None = None,
+    keep_stream: bool = False,
 ) -> np.ndarray:
     """Gather/check/scatter one step range of a fused pass; returns its
-    read-stream chunk (the caller reports/captures it).
+    read-stream chunk (the caller reports it, and captures it when
+    ``keep_stream`` asked for a fresh array instead of the thread's
+    reusable buffer).
 
     ``write_keep`` is a record-level mask over the pass's write stream
     (the optimizer's dead-write elimination); masked records skip the
@@ -671,54 +778,75 @@ def _apply_segment(
     rec0, rec1 = int(f.read_rec_cum[r0]), int(f.read_rec_cum[r1])
     wrec0, wrec1 = int(f.write_rec_cum[w0]), int(f.write_rec_cum[w1])
 
+    whole = s0 == 0 and s1 == f.num_steps
+    read_span = f.read_span if whole else None
     read_addr = f.read_addr[rec0:rec1]
-    rec_rport = f.rec_read_portion[rec0:rec1]
-    read_portions = f.read_portions[r0:r1]
-    stream = np.empty(rec1 - rec0, dtype=system.dtype)
-    for portion, idx in _portion_groups(read_portions, rec_rport):
-        if isinstance(idx, slice):
-            np.take(data[portion], read_addr, out=stream)
-        else:
-            stream[idx] = data[portion, read_addr[idx]]
+    read_groups = list(_portion_groups(f.read_portions[r0:r1], f.read_sizes[r0:r1], B))
+    if keep_stream:
+        stream = np.empty(rec1 - rec0, dtype=system.dtype)
+    else:
+        stream = _host_buffer("stream", rec1 - rec0, system.dtype)
+    if read_span is not None:
+        portion, lo, hi = read_span
+        stream[:] = data[portion][lo:hi]
+    else:
+        for portion, idx in read_groups:
+            if isinstance(idx, slice):
+                np.take(data[portion], read_addr, out=stream)
+            else:
+                stream[idx] = data[portion, read_addr[idx]]
 
+    # Every read step moves at least one block, so step-level flags
+    # decide any/all; per-record flags exist only for a mixed segment.
     consume = f.resolved_consume(system.simple_io)[r0:r1]
-    rec_consume = np.repeat(consume, f.read_sizes[r0:r1] * B)
-    any_consume = bool(rec_consume.any())
-    all_consume = any_consume and bool(rec_consume.all())
+    any_consume = bool(consume.any())
+    all_consume = any_consume and bool(consume.all())
+    rec_consume = (
+        np.repeat(consume, f.read_sizes[r0:r1] * B)
+        if any_consume and not all_consume
+        else None
+    )
     if any_consume:
         consumed = stream if all_consume else stream[rec_consume]
         empty = system._is_empty(consumed)
         if empty.any():
-            seg_block_ids = f.read_ids[rec0 // B : rec1 // B]
-            consumed_blocks = np.repeat(seg_block_ids, B)[rec_consume]
+            consumed_blocks = np.repeat(f.read_ids[rec0 // B : rec1 // B], B)
+            if rec_consume is not None:
+                consumed_blocks = consumed_blocks[rec_consume]
             bad = np.unique(consumed_blocks[empty.reshape(-1)])
             raise BlockStateError(
                 f"reading empty/partial blocks {list(bad)} under simple I/O"
             )
 
+    write_span = f.write_span if whole else None
     write_addr = f.write_addr[wrec0:wrec1]
-    rec_wport = f.rec_write_portion[wrec0:wrec1]
     write_portions = f.write_portions[w0:w1]
-    if system.simple_io and write_addr.size:
-        _require_write_targets_empty(system, write_portions, rec_wport, write_addr)
+    write_sizes = f.write_sizes[w0:w1]
+    if system.simple_io and write_span is not None:
+        _require_span_empty(system, write_span)
+    elif system.simple_io and write_addr.size:
+        _require_write_targets_empty(system, write_portions, write_sizes, write_addr)
 
     # Mutate: consume sources, then scatter targets (disjoint by the
     # fusability check, so ordering is immaterial).
-    if any_consume:
-        for portion, idx in _portion_groups(read_portions, rec_rport):
+    if all_consume and read_span is not None:
+        portion, lo, hi = read_span
+        data[portion][lo:hi] = system.empty
+    elif any_consume:
+        for portion, idx in read_groups:
             if isinstance(idx, slice):
                 addr = read_addr if all_consume else read_addr[rec_consume]
                 data[portion][addr] = system.empty
             else:
-                mask = idx & rec_consume
+                mask = idx if all_consume else (idx & rec_consume)
                 data[portion, read_addr[mask]] = system.empty
     if write_addr.size:
         src = f.write_source[wrec0:wrec1]
         if rec0:
             src = src - rec0
-        out = stream[src]
+        out = _gather(stream, src)
         keep = None if write_keep is None else write_keep[wrec0:wrec1]
-        for portion, idx in _portion_groups(write_portions, rec_wport):
+        for portion, idx in _portion_groups(write_portions, write_sizes, B):
             if keep is None:
                 if isinstance(idx, slice):
                     data[portion][write_addr] = out
@@ -765,7 +893,10 @@ def _run_fused_pass(
     for s0, s1 in segments:
         if s0:
             checkpoint("shard", f.label)
-        stream = _apply_segment(system, f, s0, s1, write_keep=write_keep)
+        stream = _apply_segment(
+            system, f, s0, s1, write_keep=write_keep,
+            keep_stream=report.streams is not None,
+        )
         report.host_peak_records = max(report.host_peak_records, stream.size)
     if report.streams is not None:
         report.streams.append(stream)

@@ -51,14 +51,17 @@ from repro.pdm.cancel import checkpoint
 from repro.pdm.engine import (
     ENGINES,
     ExecReport,
+    _block_keys,
     _check_memory,
     _check_pass,
     _execute_fast,
     _execute_strict,
     _finish_pass,
     _fuse_pass,
+    _gather,
+    _host_buffer,
     _portion_groups,
-    _require_write_targets_empty,
+    _require_pass_targets_empty,
     _run_fused_pass,
     _stream_budget,
 )
@@ -133,27 +136,41 @@ def _reads_pipeable(f, simple_io: bool) -> bool:
     )
 
 
+def _key_positions(bins: int, keys: np.ndarray) -> np.ndarray:
+    """``pos[key]`` = index of ``key`` in the distinct ``keys``, else -1.
+
+    Portion-qualified block keys are bounded by ``num_portions *
+    num_blocks``, so one scatter replaces a sort and a search.
+    """
+    pos = np.full(bins, -1, dtype=np.int64)
+    pos[keys] = np.arange(keys.size, dtype=np.int64)
+    return pos
+
+
+def _block_records(blocks: np.ndarray, B: int) -> np.ndarray:
+    """Record indices of the given block positions of a stream."""
+    return (blocks[:, None] * B + np.arange(B, dtype=np.int64)).reshape(-1)
+
+
 def _link_map(g, fa, fb, simple_io: bool) -> np.ndarray | None:
     """Slot map realizing ``fb``'s read stream from ``fa``'s read stream.
 
     Exists when ``fb`` reads (consuming) exactly the records ``fa``
     writes: then ``fb_stream = fa_stream[link]``, and the write/read
-    round trip through the portion array can be skipped.
+    round trip through the portion array can be skipped.  Passes move
+    whole blocks, so the match is made block by block.
     """
     if not fa.write_addr.size or fa.write_addr.size != fb.read_addr.size:
         return None
     if not _reads_pipeable(fb, simple_io):
         return None
-    qa = fa.rec_write_portion * g.N + fa.write_addr
-    qb = fb.rec_read_portion * g.N + fb.read_addr
-    order = np.argsort(qa)
-    qa_sorted = qa[order]
-    pos = np.searchsorted(qa_sorted, qb)
-    if pos.size and int(pos.max()) >= qa_sorted.size:
+    qa = _block_keys(g, fa.write_portions, fa.write_sizes, fa.write_ids)
+    qb = _block_keys(g, fb.read_portions, fb.read_sizes, fb.read_ids)
+    bins = int(max(qa.max(), qb.max())) + 1
+    pos = _key_positions(bins, qa)[qb]
+    if (pos < 0).any():
         return None
-    if not np.array_equal(qa_sorted[pos], qb):
-        return None
-    return fa.write_source[order[pos]]
+    return fa.write_source[_block_records(pos, g.B)]
 
 
 def _partial_link(g, fa, fb, simple_io: bool) -> _PartialLink | None:
@@ -175,26 +192,28 @@ def _partial_link(g, fa, fb, simple_io: bool) -> _PartialLink | None:
         return None
     if not _reads_pipeable(fa, simple_io) or not _reads_pipeable(fb, simple_io):
         return None
-    qa = fa.rec_write_portion * g.N + fa.write_addr
-    qb = fb.rec_read_portion * g.N + fb.read_addr
-    order = np.argsort(qa)
-    qa_sorted = qa[order]
-    pos = np.minimum(np.searchsorted(qa_sorted, qb), qa_sorted.size - 1)
-    matched = qa_sorted[pos] == qb
+    qa = _block_keys(g, fa.write_portions, fa.write_sizes, fa.write_ids)
+    qb = _block_keys(g, fb.read_portions, fb.read_sizes, fb.read_ids)
+    qw = _block_keys(g, fb.write_portions, fb.write_sizes, fb.write_ids)
+    bins = int(max(qa.max(), qb.max(), qw.max(initial=-1))) + 1
+    pos = _key_positions(bins, qa)[qb]
+    matched = pos >= 0
     if not matched.any():
         return None
-    if fb.write_addr.size:
-        qw = fb.rec_write_portion * g.N + fb.write_addr
-        if np.intersect1d(qb[matched], qw).size:
+    if qw.size:
+        piped = np.zeros(bins, dtype=bool)
+        piped[qb[matched]] = True
+        if piped[qw].any():
             return None
-    hit = order[pos[matched]]
-    a_keep = np.ones(qa.size, dtype=bool)
+    hit = _block_records(pos[matched], g.B)
+    a_keep = np.ones(fa.write_addr.size, dtype=bool)
     a_keep[hit] = False
+    rec_matched = np.repeat(matched, g.B)
     return _PartialLink(
         link_slots=fa.write_source[hit],
-        b_link_idx=np.flatnonzero(matched),
+        b_link_idx=np.flatnonzero(rec_matched),
         a_keep=a_keep,
-        b_phys_idx=np.flatnonzero(~matched),
+        b_phys_idx=np.flatnonzero(~rec_matched),
     )
 
 
@@ -202,28 +221,34 @@ def _dead_write_masks(g, fused, simple_io: bool):
     """Per-pass record keep-masks for writes overwritten before any read.
 
     Walks passes last-to-first carrying the set of portion-qualified
-    addresses that a later pass overwrites with no read in between.
+    blocks that a later pass overwrites with no read in between.
     Under simple I/O the strict engine faults on such plans, so the
     rewrite is offered only outside it.
     """
     if simple_io:
         return {}, 0
+    keys = [
+        (
+            _block_keys(g, f.write_portions, f.write_sizes, f.write_ids),
+            _block_keys(g, f.read_portions, f.read_sizes, f.read_ids),
+        )
+        for f in fused
+    ]
+    bins = 1 + max(
+        (int(k.max()) for pair in keys for k in pair if k.size), default=-1
+    )
     masks = {}
     eliminated = 0
-    kill = np.zeros(0, dtype=np.int64)
+    kill = np.zeros(bins, dtype=bool)
     for idx in range(len(fused) - 1, -1, -1):
-        f = fused[idx]
-        qw = f.rec_write_portion * g.N + f.write_addr
-        qr = f.rec_read_portion * g.N + f.read_addr
-        if kill.size and qw.size:
-            dead = np.isin(qw, kill)
-            if dead.any():
-                masks[idx] = ~dead
-                eliminated += int(dead.sum())
+        qw, qr = keys[idx]
         if qw.size:
-            kill = np.union1d(kill, qw)
-        if qr.size and kill.size:
-            kill = np.setdiff1d(kill, qr)
+            dead = kill[qw]
+            if dead.any():
+                masks[idx] = np.repeat(~dead, g.B)
+                eliminated += int(dead.sum()) * g.B
+            kill[qw] = True
+        kill[qr] = False
     return masks, eliminated
 
 
@@ -523,37 +548,44 @@ class OptimizedPlan:
         data = system._data
         first, last = grp.members[0], grp.members[-1]
 
-        stream = np.empty(first.stream_records, dtype=system.dtype)
-        for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
-            if isinstance(idx, slice):
-                np.take(data[portion], first.read_addr, out=stream)
-            else:
-                stream[idx] = data[portion, first.read_addr[idx]]
+        read_span = first.read_span
+        if read_span is not None:
+            portion, lo, hi = read_span
+            stream = _host_buffer("stream", hi - lo, system.dtype)
+            stream[:] = data[portion][lo:hi]
+        else:
+            read_groups = list(
+                _portion_groups(first.read_portions, first.read_sizes, g.B)
+            )
+            stream = _host_buffer("stream", first.stream_records, system.dtype)
+            for portion, idx in read_groups:
+                if isinstance(idx, slice):
+                    np.take(data[portion], first.read_addr, out=stream)
+                else:
+                    stream[idx] = data[portion, first.read_addr[idx]]
         empty = system._is_empty(stream)
         if empty.any():
             bad = np.unique(np.repeat(first.read_ids, g.B)[empty])
             raise BlockStateError(
                 f"reading empty/partial blocks {list(bad)} under simple I/O"
             )
-        for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
-            if isinstance(idx, slice):
-                data[portion][first.read_addr] = system.empty
-            else:
-                data[portion, first.read_addr[idx]] = system.empty
+        if read_span is not None:
+            data[portion][lo:hi] = system.empty
+        else:
+            for portion, idx in read_groups:
+                if isinstance(idx, slice):
+                    data[portion][first.read_addr] = system.empty
+                else:
+                    data[portion, first.read_addr[idx]] = system.empty
 
         # Skipped links: their write targets must have been empty (the
         # write-to-empty rule); after the consume above, portion state
         # matches what strict execution would show at each link's time.
-        for fa in grp.members[:-1]:
-            _require_write_targets_empty(
-                system, fa.write_portions, fa.rec_write_portion, fa.write_addr
-            )
+        for fa in grp.members:
+            _require_pass_targets_empty(system, fa)
 
-        _require_write_targets_empty(
-            system, last.write_portions, last.rec_write_portion, last.write_addr
-        )
-        out = stream[grp.source_map]
-        for portion, idx in _portion_groups(last.write_portions, last.rec_write_portion):
+        out = _gather(stream, grp.source_map)
+        for portion, idx in _portion_groups(last.write_portions, last.write_sizes, g.B):
             if isinstance(idx, slice):
                 data[portion][last.write_addr] = out
             else:
@@ -578,8 +610,9 @@ class OptimizedPlan:
         fa, fb = grp.members
         pl = grp.partial
 
+        read_groups = list(_portion_groups(fa.read_portions, fa.read_sizes, g.B))
         stream_a = np.empty(fa.stream_records, dtype=system.dtype)
-        for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
+        for portion, idx in read_groups:
             if isinstance(idx, slice):
                 np.take(data[portion], fa.read_addr, out=stream_a)
             else:
@@ -590,17 +623,15 @@ class OptimizedPlan:
             raise BlockStateError(
                 f"reading empty/partial blocks {list(bad)} under simple I/O"
             )
-        for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
+        for portion, idx in read_groups:
             if isinstance(idx, slice):
                 data[portion][fa.read_addr] = system.empty
             else:
                 data[portion, fa.read_addr[idx]] = system.empty
 
-        _require_write_targets_empty(
-            system, fa.write_portions, fa.rec_write_portion, fa.write_addr
-        )
+        _require_pass_targets_empty(system, fa)
         out_a = stream_a[fa.write_source]
-        for portion, idx in _portion_groups(fa.write_portions, fa.rec_write_portion):
+        for portion, idx in _portion_groups(fa.write_portions, fa.write_sizes, g.B):
             mask = pl.a_keep if isinstance(idx, slice) else (idx & pl.a_keep)
             data[portion, fa.write_addr[mask]] = out_a[mask]
 
@@ -608,8 +639,10 @@ class OptimizedPlan:
         stream_b[pl.b_link_idx] = stream_a[pl.link_slots]
         if pl.b_phys_idx.size:
             phys_addr = fb.read_addr[pl.b_phys_idx]
-            phys_port = fb.rec_read_portion[pl.b_phys_idx]
-            for portion, idx in _portion_groups(phys_port, phys_port):
+            # Piping is block-exact: physical reads are whole blocks.
+            phys_blocks = pl.b_phys_idx[:: g.B] // g.B
+            phys_port = np.repeat(fb.read_portions, fb.read_sizes)[phys_blocks]
+            for portion, idx in _portion_groups(phys_port, 1, g.B):
                 if isinstance(idx, slice):
                     values = data[portion][phys_addr]
                 else:
@@ -626,11 +659,9 @@ class OptimizedPlan:
                 else:
                     data[portion, phys_addr[idx]] = system.empty
 
-        _require_write_targets_empty(
-            system, fb.write_portions, fb.rec_write_portion, fb.write_addr
-        )
+        _require_pass_targets_empty(system, fb)
         out_b = stream_b[fb.write_source]
-        for portion, idx in _portion_groups(fb.write_portions, fb.rec_write_portion):
+        for portion, idx in _portion_groups(fb.write_portions, fb.write_sizes, g.B):
             if isinstance(idx, slice):
                 data[portion][fb.write_addr] = out_b
             else:

@@ -665,6 +665,62 @@ class PlanBuilder:
         for i, stripe in enumerate(g.memoryload_stripes(ml)):
             self.write_stripe(portion, stripe, source[i * per : (i + 1) * per])
 
+    # ------------------------------------------------------------ bulk pass
+    def add_memoryload_pass(
+        self,
+        label: str,
+        read_portion: int,
+        read_ids: np.ndarray,
+        write_portion: int,
+        write_ids: np.ndarray,
+        write_source: np.ndarray,
+    ) -> None:
+        """Append a whole one-pass permutation's pass in one call.
+
+        The pass handles the ``N/M`` memoryloads in turn: ``M/BD``
+        parallel reads of ``D`` blocks, then ``M/BD`` parallel writes of
+        ``D`` blocks.  ``read_ids``/``write_ids`` list all ``N/B`` block
+        ids in step order, ``write_source`` the ``N`` stream slots the
+        writes put down.  Reads take the system's consume default.
+        Builds the :class:`PassColumns` directly, with no per-step
+        Python work; the fast engine audits the slots when it fuses the
+        pass.
+        """
+        g = self.geometry
+        nb = g.num_blocks
+        for name, arr, size in (
+            ("read_ids", read_ids, nb),
+            ("write_ids", write_ids, nb),
+            ("write_source", write_source, g.N),
+        ):
+            if np.shape(arr) != (size,):
+                raise ValidationError(
+                    f"{name} expects shape {(size,)}, got {np.shape(arr)}"
+                )
+        steps = nb // g.D  # reads, and also writes
+        per_ml = g.stripes_per_memoryload
+        c = PassColumns()
+        c.num_steps = 2 * steps
+        c.is_read = np.tile(
+            np.repeat(np.array([True, False]), per_ml), g.num_memoryloads
+        )
+        c.step_sizes = np.full(c.num_steps, g.D, dtype=np.int64)
+        c.read_ids = np.asarray(read_ids, dtype=np.int64)
+        c.read_sizes = np.full(steps, g.D, dtype=np.int64)
+        c.read_portions = np.full(steps, int(read_portion), dtype=np.int64)
+        c.read_consume_default = np.ones(steps, dtype=bool)
+        c.read_consume_value = np.zeros(steps, dtype=bool)
+        c.read_discard = np.zeros(steps, dtype=bool)
+        c.write_ids = np.asarray(write_ids, dtype=np.int64)
+        c.write_sizes = c.read_sizes.copy()
+        c.write_portions = np.full(steps, int(write_portion), dtype=np.int64)
+        c.write_source = np.asarray(write_source, dtype=np.int64)
+        acc = _PassAccumulator(label)
+        acc.built = PlanPass._from_columns(label, c)
+        self._accs.append(acc)
+        self._current = None
+        self._cursor = 0
+
     # ----------------------------------------------------------------- build
     def build(self) -> IOPlan:
         return IOPlan(self.geometry, [acc.to_pass() for acc in self._accs])

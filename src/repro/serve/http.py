@@ -620,18 +620,25 @@ class HttpFrontend:
             self._closed = True
         if drain_timeout is None:
             drain_timeout = self.drain_timeout
+        budget_end = None
+        if drain_timeout is not None:
+            # The drain budget starts now, not once the listener is down
+            # (shutdown() alone waits out serve_forever's poll interval):
+            # no queued request may start after it is spent.
+            budget_end = time.monotonic() + drain_timeout
+            self.service.stop_starting_at(budget_end)
         server, thread = self._server, self._thread
         if server is not None:
             server.shutdown()  # stop the accept loop...
             server.server_close()  # ...and close the listener socket
         if thread is not None:
             thread.join(timeout=5.0)
-        if self.own_service:
-            self.service.close(drain_timeout=drain_timeout)
-        elif drain_timeout is not None:
-            self.service.close(drain_timeout=drain_timeout)
-        else:
+        if budget_end is None:
             self.service.close()
+        else:
+            self.service.close(
+                drain_timeout=max(0.0, budget_end - time.monotonic())
+            )
         if server is not None:
             server.join_handlers(timeout=5.0)
 

@@ -265,6 +265,7 @@ class PermutationService:
         self._active: dict[int, CancellationToken] = {}
         self._leaders: dict[tuple, _Item] = {}
         self._closed = False
+        self._start_by: float | None = None  # see stop_starting_at()
         self._submitted = 0
         self._admitted = 0
         self._shed = 0
@@ -301,10 +302,15 @@ class PermutationService:
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._queue and not self._closed:
+                while True:
+                    start_by = self._start_by
+                    if start_by is not None and time.monotonic() >= start_by:
+                        return  # drain budget spent: the closer flushes the queue
+                    if self._queue:
+                        break
+                    if self._closed:
+                        return  # closed and drained
                     self._work.wait()
-                if not self._queue:
-                    return  # closed and drained
                 item = self._queue.popleft()
                 self._running += 1
                 self._active[item.index] = item.token
@@ -655,6 +661,21 @@ class PermutationService:
                 coalesced_in_flight=self._coalesced_in_flight,
             )
 
+    def stop_starting_at(self, deadline: float) -> None:
+        """Start no queued request at or after ``deadline``
+        (``time.monotonic()`` seconds).
+
+        A closer that has other work to do before :meth:`close` -- the
+        HTTP frontend stops its listener first -- calls this when its
+        drain budget starts, so the workers cannot pick up queued work
+        in between.  Running requests are unaffected; whatever is still
+        queued waits for ``close(drain_timeout=...)`` to hard-cancel it.
+        """
+        with self._lock:
+            if self._start_by is None or deadline < self._start_by:
+                self._start_by = deadline
+            self._work.notify_all()
+
     def close(self, wait: bool = True, drain_timeout: float | None = None) -> None:
         """Stop accepting work and shut the pool down.  Idempotent.
 
@@ -666,8 +687,13 @@ class PermutationService:
         queued requests resolve with
         :class:`~repro.errors.ServiceClosedError`, running requests'
         tokens are cancelled so they unwind at their next checkpoint --
-        and the call still joins every worker before returning.
+        and the call still joins every worker before returning.  The
+        budget starts when ``close`` is entered (or at an earlier
+        :meth:`stop_starting_at`), and no queued request starts once it
+        is spent.
         """
+        if wait and drain_timeout is not None:
+            self.stop_starting_at(time.monotonic() + drain_timeout)
         with self._lock:
             self._closed = True
             self._work.notify_all()
@@ -676,8 +702,8 @@ class PermutationService:
             return
         flushed: list[tuple[_Item, ServiceResult, list]] = []
         if drain_timeout is not None:
-            deadline = time.monotonic() + drain_timeout
             with self._lock:
+                deadline = self._start_by
                 while self._queue or self._running:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._done.wait(remaining):

@@ -366,3 +366,128 @@ class TestPartialFusion:
         op = optimize_plan(plan)
         assert op.report.fused_groups == 1
         assert op.report.partial_groups == 0
+
+
+class TestMixedPortions:
+    """Passes whose steps read from and write to both portions.
+
+    Fused passes keep per-step portions only; a pass that mixes them
+    derives per-portion record groups at execution, and the optimizer
+    matches links block by block across portions."""
+
+    @pytest.fixture
+    def small(self) -> DiskGeometry:
+        return DiskGeometry(N=2**10, B=2**2, D=2**2, M=2**7)
+
+    def mixed_plan(self, g):
+        """"seed" moves stripe 2 to portion 1; "mix" reads stripe 0 of
+        portion 0 and stripe 2 of portion 1 and writes one stripe to
+        each portion; "back" reads exactly what "mix" wrote, from both
+        portions, and writes to both again."""
+        b = PlanBuilder(g)
+        b.begin_pass("seed")
+        s = b.read_stripe(0, 2)
+        b.write_stripe(1, 2, s[::-1])
+        b.begin_pass("mix")
+        s0 = b.read_stripe(0, 0)
+        s1 = b.read_stripe(1, 2)
+        b.write_stripe(1, 0, s1)
+        b.write_stripe(0, 2, s0[::-1])
+        b.begin_pass("back")
+        t0 = b.read_stripe(0, 2)
+        t1 = b.read_stripe(1, 0)
+        b.write_stripe(0, 0, t1[::-1])
+        b.write_stripe(1, 2, t0)
+        return b.build()
+
+    def test_same_result_under_every_executor(self, small):
+        from repro.pdm.cache import PlanCache, cached_execute
+
+        g = small
+        plan = self.mixed_plan(g)
+        strict = fresh(g)
+        execute_plan(strict, plan, engine="strict")
+        fast = fresh(g)
+        execute_plan(fast, plan, engine="fast")
+        assert_equivalent(strict, fast)
+        optimized = fresh(g)
+        op = optimize_plan(plan)
+        assert op.report.fused_links == 1  # "mix" -> "back", across portions
+        assert op.execute(optimized).optimized
+        assert_equivalent(strict, optimized)
+        cache = PlanCache()
+        for expect_hit in (False, True):
+            cached = fresh(g)
+            _, _, hit = cached_execute(
+                cached, cache, ("mixed",), lambda: (plan, None), engine="fast"
+            )
+            assert hit is expect_hit
+            assert_equivalent(strict, cached)
+
+    def test_streamed_segments_keep_portions_apart(self, small):
+        g = small
+        plan = self.mixed_plan(g)
+        strict = fresh(g)
+        execute_plan(strict, plan, engine="strict")
+        fast = fresh(g)
+        execute_plan(fast, plan, engine="fast", stream_records=g.records_per_stripe)
+        assert_equivalent(strict, fast)
+
+    def test_link_map_across_portions(self, small):
+        from repro.pdm.engine import _fuse_pass
+        from repro.pdm.optimize import _link_map
+
+        g = small
+        plan = self.mixed_plan(g)
+        seed, mix, back = (_fuse_pass(g, p) for p in plan.passes)
+        assert _link_map(g, seed, mix, True) is None  # "mix" also reads stripe 0
+        link = _link_map(g, mix, back, True)
+        # "back" reads stripe 2 of portion 0 (written from mix's stripe-0
+        # slots, reversed), then stripe 0 of portion 1 (mix's stripe-2 slots).
+        per = g.records_per_stripe
+        expected = np.concatenate((np.arange(per)[::-1], per + np.arange(per)))
+        assert np.array_equal(link, expected)
+
+    def test_partial_link_across_portions(self, small):
+        """A pass that pipes two of its blocks' worth of records from
+        both portions and gathers the rest physically from both."""
+        from repro.pdm.engine import _fuse_pass
+        from repro.pdm.optimize import _partial_link
+
+        g = small
+        per = g.records_per_stripe
+        setup = PlanBuilder(g)
+        setup.begin_pass("seed")
+        s2, s3 = setup.read_stripe(0, 2), setup.read_stripe(0, 3)
+        setup.write_stripe(1, 2, s2[::-1])
+        setup.write_stripe(1, 3, s3)
+        b = PlanBuilder(g)
+        b.begin_pass("mix")
+        s0, s1 = b.read_stripe(0, 0), b.read_stripe(1, 2)
+        b.write_stripe(1, 0, s1)
+        b.write_stripe(0, 2, s0[::-1])
+        b.begin_pass("part")
+        parts = [b.read_stripe(0, 2), b.read_stripe(1, 0), b.read_stripe(1, 3), b.read_stripe(0, 1)]
+        b.write_stripe(0, 0, parts[1])
+        b.write_stripe(1, 2, parts[3])
+        b.write_stripe(0, 3, parts[0][::-1])
+        b.write_stripe(1, 1, parts[2])
+        pair = b.build()
+
+        mix, part = (_fuse_pass(g, p) for p in pair.passes)
+        pl = _partial_link(g, mix, part, True)
+        assert np.array_equal(pl.b_link_idx, np.arange(2 * per))
+        assert np.array_equal(pl.b_phys_idx, 2 * per + np.arange(2 * per))
+        assert np.array_equal(
+            pl.link_slots, np.concatenate((np.arange(per)[::-1], per + np.arange(per)))
+        )
+        assert not pl.a_keep.any()
+
+        op = optimize_plan(pair)
+        assert op.report.partial_groups == 1
+        strict, optimized = fresh(g), fresh(g)
+        for s in (strict, optimized):
+            execute_plan(s, setup.build(), engine="strict")
+        execute_plan(strict, pair, engine="strict")
+        assert op.execute(optimized).optimized
+        assert_equivalent(strict, optimized)
