@@ -14,6 +14,8 @@ conventions match the paper exactly:
 """
 
 from repro.bits.bitops import (
+    affine_halves,
+    affine_image,
     apply_affine,
     bits_to_int,
     column_ints,
@@ -62,6 +64,8 @@ from repro.bits.random import (
 
 __all__ = [
     "BitMatrix",
+    "affine_halves",
+    "affine_image",
     "apply_affine",
     "bits_to_int",
     "column_ints",

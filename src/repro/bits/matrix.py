@@ -127,6 +127,12 @@ class BitMatrix:
         return bitops.column_ints(self)
 
     @cached_property
+    def slice_tables(self) -> tuple[np.ndarray, ...]:
+        """Lookup tables of :func:`repro.bits.bitops.apply_affine`
+        (:func:`repro.bits.bitops.slice_tables` of the columns)."""
+        return bitops.slice_tables(self.column_ints)
+
+    @cached_property
     def row_ints(self) -> list[int]:
         """Rows encoded as integers (bit ``j`` of entry ``i`` is ``A[i, j]``)."""
         weights = 1 << np.arange(self._a.shape[1], dtype=np.uint64)

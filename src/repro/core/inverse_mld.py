@@ -21,11 +21,7 @@ import numpy as np
 from repro.bits import linalg
 from repro.bits.colops import is_mld_form
 from repro.bits.matrix import BitMatrix
-from repro.core.mld_algorithm import (
-    affine_halves,
-    block_memoryloads,
-    disk_major_blocks,
-)
+from repro.core.mld_algorithm import block_memoryloads, disk_major_blocks
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
@@ -109,7 +105,7 @@ def plan_inverse_mld_pass(
     g = geometry
     if check_class:
         require_inverse_mld(perm, g.b, g.m)
-    hi, lo = affine_halves(perm, g)  # the target of every source address
+    hi, lo = perm.image_halves(g.m)  # the target of every source address
     target_ml = block_memoryloads(
         g, hi, lo,
         "target memoryload does not gather from full source "
@@ -122,7 +118,7 @@ def plan_inverse_mld_pass(
     slot_of_block[read_ids] = np.arange(0, g.N, g.B, dtype=np.int64)
     # The striped writes put every target memoryload down in address
     # order, each record from the slot its source address was read to.
-    inv_hi, inv_lo = affine_halves(perm.inverse(), g)
+    inv_hi, inv_lo = perm.inverse().image_halves(g.m)
     sources = (inv_hi[:, None] ^ inv_lo).reshape(-1)
     write_source = slot_of_block[sources >> g.b] + (sources & (g.B - 1))
     builder = PlanBuilder(g)

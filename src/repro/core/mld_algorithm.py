@@ -9,20 +9,19 @@ put them down.  Total: one pass, ``2N/BD`` parallel I/Os.
 The planner *asserts* the Theorem 15 properties as it builds the plan,
 over all memoryloads at once: a BMMC map is affine, so its image of the
 ``N`` addresses splits into the images of the ``N/M`` memoryload bases
-and of the ``M`` offsets (:func:`affine_halves`).  Lemma 13 (full
-target blocks) then becomes a condition on the ``M`` offset images
-alone, and property 3 (``M/BD`` blocks per disk) one ``bincount`` over
-the ``N/B`` blocks.  Planning a random MLD instance is an executable
-proof of Theorem 15, and handing it a non-MLD matrix fails loudly
-(before any I/O) rather than silently scattering records.  The
-per-memoryload planners this replaced are kept as test oracles.
+and of the ``M`` offsets (:meth:`BMMCPermutation.image_halves`).
+Lemma 13 (full target blocks) then becomes a condition on the ``M``
+offset images alone, and property 3 (``M/BD`` blocks per disk) one
+``bincount`` over the ``N/B`` blocks.  Planning a random MLD instance
+is an executable proof of Theorem 15, and handing it a non-MLD matrix
+fails loudly (before any I/O) rather than silently scattering records.
+The per-memoryload planners this replaced are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bits import bitops
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
@@ -33,22 +32,6 @@ from repro.perms.bmmc import BMMCPermutation
 from repro.perms.mld import require_mld
 
 __all__ = ["plan_mld_pass", "perform_mld_pass"]
-
-
-def affine_halves(
-    perm: BMMCPermutation, g: DiskGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` with ``perm(ml * M + o) == hi[ml] ^ lo[o]``.
-
-    ``hi`` images the ``N/M`` memoryload bases with the complement,
-    ``lo`` the ``M`` offsets without it: two small ``apply_affine``
-    calls stand in for one over all ``N`` addresses.
-    """
-    bases = np.arange(g.num_memoryloads, dtype=np.uint64) << np.uint64(g.m)
-    offsets = np.arange(g.M, dtype=np.uint64)
-    hi = bitops.apply_affine(perm.matrix, perm.complement, bases)
-    lo = bitops.apply_affine(perm.matrix, 0, offsets)
-    return hi.astype(np.int64), lo.astype(np.int64)
 
 
 def block_memoryloads(
@@ -113,7 +96,7 @@ def plan_mld_pass(
         require_mld(perm, g.b, g.m)
     # The source of every target address.  Memoryloads are read in
     # address order, so a source address is also its stream slot.
-    hi, lo = affine_halves(perm.inverse(), g)
+    hi, lo = perm.inverse().image_halves(g.m)
     source_ml = block_memoryloads(
         g, hi, lo,
         "memoryload does not cluster into full target blocks; "

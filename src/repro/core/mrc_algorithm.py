@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mld_algorithm import affine_halves
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
@@ -48,7 +47,7 @@ def plan_mrc_pass(
     # The source of every target address (``hi[tml] ^ lo[o]``).
     # Memoryloads are read in address order, so a source address is
     # also its stream slot.
-    hi, lo = affine_halves(perm.inverse(), g)
+    hi, lo = perm.inverse().image_halves(g.m)
     # MRC guarantee, for every memoryload at once: a memoryload's
     # sources lie in one memoryload, ``hi[tml] >> m``.
     if (lo >> g.m).any():

@@ -8,6 +8,7 @@ result, and report measured I/Os next to every relevant bound.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.mld_algorithm import perform_mld_pass
 from repro.core.mrc_algorithm import perform_mrc_pass
 from repro.errors import ValidationError
 from repro.pdm.cache import PlanCache
+from repro.pdm.cancel import current_trace
 from repro.pdm.stats import StatsSnapshot
 from repro.pdm.system import ParallelDiskSystem
 from repro.perms.base import Permutation
@@ -103,12 +105,27 @@ def perform_permutation(
 
     The source portion must already hold the canonical payloads
     (``fill_identity``); verification checks
-    ``target[pi(x)] == x`` afterwards.
+    ``target[pi(x)] == x`` afterwards
+    (:meth:`~repro.pdm.system.ParallelDiskSystem.verify_permutation`).
+
+    Classification and the bound table are memoized on a
+    :class:`~repro.perms.bmmc.BMMCPermutation` per geometry
+    (:meth:`~repro.perms.bmmc.BMMCPermutation.memo`), and
+    :func:`repro.serve.requests.make_permutation` hands every request
+    for one named permutation the same object, so a warm request
+    rebuilds none of the three.  Explicit permutations are recomputed.
+    When the calling thread carries a timing trace
+    (:func:`~repro.pdm.cancel.current_trace`), the classify and bound
+    time is recorded as the ``prepare`` stage and verification as
+    ``verify``.
     """
     g = system.geometry
+    trace = current_trace()
     source_values = system.peek(source_portion, 0, g.N)
+    prepared_from = time.perf_counter()
     classes = classify(perm, g)
     bperm = _as_bmmc(perm, classes)
+    prepare_seconds = time.perf_counter() - prepared_from
 
     chosen = method
     if method == "auto":
@@ -183,7 +200,10 @@ def perform_permutation(
 
     verified = True
     if verify:
+        verified_from = time.perf_counter()
         verified = system.verify_permutation(perm, source_values, final)
+        if trace is not None:
+            trace.record("verify", time.perf_counter() - verified_from)
 
     report = RunReport(
         method=chosen,
@@ -193,7 +213,10 @@ def perform_permutation(
         final_portion=final,
         verified=verified,
     )
+    bounded_from = time.perf_counter()
     report.bounds = _bound_table(g, bperm, classes)
+    if trace is not None:
+        trace.record("prepare", prepare_seconds + time.perf_counter() - bounded_from)
     return report
 
 
@@ -305,6 +328,13 @@ def _require_bmmc(bperm: BMMCPermutation | None, method: str) -> BMMCPermutation
 
 
 def _bound_table(g, bperm: BMMCPermutation | None, classes: set[PermClass]) -> dict[str, float]:
+    """The report's bound table; memoized on ``bperm`` per geometry."""
+    if bperm is None:
+        return _bounds(g, None, classes)
+    return dict(bperm.memo(("bounds", g), lambda: _bounds(g, bperm, classes)))
+
+
+def _bounds(g, bperm: BMMCPermutation | None, classes: set[PermClass]) -> dict[str, float]:
     table: dict[str, float] = {
         "one_pass_ios": float(g.one_pass_ios),
         "general_permutation_bound": bounds.general_permutation_bound(g),

@@ -42,6 +42,10 @@ __all__ = ["ParallelDiskSystem", "IOEvent", "EMPTY"]
 #: Sentinel payload for an empty record slot.
 EMPTY: int = -1
 
+#: Records :meth:`ParallelDiskSystem.verify_permutation` checks per
+#: step: 512 KiB of int64 addresses, a cache-resident run.
+_VERIFY_RECORDS = 1 << 16
+
 
 def _coerce_block_ids(block_ids: Iterable[int] | np.ndarray) -> np.ndarray:
     """Normalize a parallel I/O's block ids to a 1-D int64 array."""
@@ -140,6 +144,16 @@ class ParallelDiskSystem:
     def portion_values(self, portion: int) -> np.ndarray:
         """Copy of a portion's payloads, indexed by address."""
         return self._data[portion].copy()
+
+    def portion_view(self, portion: int) -> np.ndarray:
+        """Read-only view of a portion's payloads, indexed by address.
+
+        No copy: the portion's contiguous row itself, e.g. for hashing
+        the final portion of a served request.
+        """
+        view = self._data[portion].view()
+        view.flags.writeable = False
+        return view
 
     def block_values(self, portion: int, block_id: int) -> np.ndarray:
         """Peek at a block without performing an I/O (for tests/rendering)."""
@@ -297,18 +311,55 @@ class ParallelDiskSystem:
     ) -> bool:
         """Check that ``target[perm(x)] == source_values[x]`` for every ``x``.
 
-        ``perm`` is any object with ``apply_array``; this is a model-level
-        correctness check, not an I/O-counted operation.
+        A model-level correctness check, not an I/O-counted operation.
+        It reads ``perm``, ``source_values`` and the target portion and
+        nothing else -- no plan, plan cache or planner output -- so a
+        wrong kernel cannot vouch for itself.
+
+        A BMMC ``perm`` is checked through its inverse
+        ``x = A^-1 y (+) A^-1 c``.  First the inverse is confirmed
+        against ``perm`` itself (``A A^-1 == I`` and
+        ``perm(A^-1 c) == 0``, ``n x n`` work).  Then the check is
+        ``target[y] == source_values[pre[y]]`` with ``pre = perm^-1``,
+        whose image splits as ``pre[(h << k) | l] == hi[h] ^ lo[l]``
+        (:meth:`~repro.perms.bmmc.BMMCPermutation.image_halves`).  With
+        the canonical source ``source_values[x] == x`` (what every caller
+        passes) that is ``target == pre``: a sequential scan that builds
+        ``pre`` a cache-sized run of rows at a time, with no random
+        gather and no ``N``-sized temporary.  Any other ``perm`` is
+        checked forward through ``apply_array``.
         """
+        from repro.perms.bmmc import BMMCPermutation
+
         g = self.geometry
-        xs = np.arange(g.N, dtype=np.uint64)
-        ys = np.asarray(perm.apply_array(xs), dtype=np.int64)
-        return bool(
-            (
-                self._data[target_portion, ys]
-                == np.asarray(source_values, dtype=self.dtype)
-            ).all()
+        target = self._data[target_portion]
+        source_values = np.asarray(source_values, dtype=self.dtype)
+        if not isinstance(perm, BMMCPermutation):
+            xs = np.arange(g.N, dtype=np.uint64)
+            ys = np.asarray(perm.apply_array(xs), dtype=np.int64)
+            return bool((target[ys] == source_values).all())
+        if perm.n != g.n:
+            return False
+        inverse = perm.inverse()
+        if not (perm.matrix @ inverse.matrix).is_identity or perm.apply(
+            inverse.complement
+        ):
+            return False
+        hi, lo = inverse.image_halves(g.n // 2)
+        rows = min(hi.size, max(1, _VERIFY_RECORDS // lo.size))
+        span = rows * lo.size
+        offsets = np.arange(span, dtype=np.int64)
+        canonical = all(
+            np.array_equal(source_values[x : x + span], offsets + x)
+            for x in range(0, g.N, span)
         )
+        for x in range(0, g.N, span):
+            h = x // lo.size
+            pre = (hi[h : h + rows, None] ^ lo).reshape(-1)
+            expected = pre if canonical else source_values[pre]
+            if not np.array_equal(target[x : x + span], expected):
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -40,6 +40,7 @@ class BMMCPermutation(Permutation):
             )
         self.matrix = matrix
         self.complement = int(complement)
+        self._memo: dict = {}
 
     # -------------------------------------------------------------- protocol
     def apply(self, x: int) -> int:
@@ -47,6 +48,22 @@ class BMMCPermutation(Permutation):
 
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         return bitops.apply_affine(self.matrix, self.complement, np.asarray(xs))
+
+    def target_vector(self) -> np.ndarray:
+        """The image of every address: one broadcast XOR of two tables of
+        ``2^ceil(n/2)`` entries (:func:`~repro.bits.bitops.affine_image`)."""
+        return bitops.affine_image(self.matrix, self.complement).view(np.int64)
+
+    def image_halves(self, low_bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(hi, lo)`` as int64, with ``apply((h << low_bits) | l) ==
+        hi[h] ^ lo[l]`` (:func:`~repro.bits.bitops.affine_halves`).
+
+        Split at ``m``, ``hi`` images the ``N/M`` memoryload bases and
+        ``lo`` the ``M`` offsets: a planner sees every target address
+        without computing all ``N``.
+        """
+        hi, lo = bitops.affine_halves(self.matrix, self.complement, low_bits)
+        return hi.view(np.int64), lo.view(np.int64)
 
     def inverse(self) -> "BMMCPermutation":
         inv = linalg.inverse(self.matrix)
@@ -72,6 +89,20 @@ class BMMCPermutation(Permutation):
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity and self.complement == 0
+
+    def memo(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this permutation.
+
+        For values that are pure functions of the matrix, the complement
+        and ``key`` (the runner keys classification and the bound table
+        by geometry).  Neither changes after construction, so an entry
+        never goes stale.  Two threads missing at once may both build;
+        the first stored result wins.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     # ----------------------------------------------------- paper's quantities
     def gamma(self, b: int) -> BitMatrix:

@@ -68,13 +68,23 @@ def classify_matrix(
 
 
 def classify(perm: Permutation, geometry: DiskGeometry) -> set[PermClass]:
-    """Classes of any permutation; explicit permutations are fitted first."""
+    """Classes of any permutation; explicit permutations are fitted first.
+
+    A BMMC permutation's classes are memoized on it per geometry
+    (:meth:`~repro.perms.bmmc.BMMCPermutation.memo`); an explicit one
+    is fitted again on every call.
+    """
     if perm.N != geometry.N:
         raise ValidationError(
             f"permutation acts on {perm.N} records but geometry has {geometry.N}"
         )
     if isinstance(perm, BMMCPermutation):
-        return classify_matrix(perm.matrix, perm.complement, geometry)
+        return set(
+            perm.memo(
+                ("classes", geometry),
+                lambda: classify_matrix(perm.matrix, perm.complement, geometry),
+            )
+        )
     fitted = fit_bmmc(perm.target_vector())
     if fitted is None:
         labels = {PermClass.NON_BMMC}
@@ -102,8 +112,6 @@ def fit_bmmc(targets: np.ndarray) -> tuple[BitMatrix, int] | None:
     matrix = BitMatrix.from_int_columns(columns, n)
     if not linalg.is_nonsingular(matrix):
         return None
-    xs = np.arange(size, dtype=np.uint64)
-    ys = bitops.apply_affine(matrix, c, xs)
-    if not (np.asarray(ys, dtype=np.int64) == targets).all():
+    if not np.array_equal(bitops.affine_image(matrix, c).view(np.int64), targets):
         return None
     return matrix, c

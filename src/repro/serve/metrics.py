@@ -48,6 +48,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "PASS_BUCKETS",
     "IO_BUCKETS",
+    "REQUEST_STAGES",
 ]
 
 #: Wall-clock seconds buckets for request/stage/HTTP latency histograms.
@@ -62,6 +63,14 @@ PASS_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 #: Parallel-I/O-count buckets per request (the paper's cost unit).
 IO_BUCKETS = (16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0)
+
+#: The traced stages of an executed request, in the order it meets them
+#: (:class:`~repro.serve.requests.RequestTrace`); each feeds
+#: ``repro_request_stage_seconds{stage}``.  ``queue_wait`` has its own
+#: histogram.
+REQUEST_STAGES = (
+    "prepare", "latch_wait", "plan", "compile", "execute", "verify", "digest",
+)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -493,7 +502,7 @@ class ServiceMetrics:
         )
         self.stage_seconds = r.histogram(
             "repro_request_stage_seconds",
-            "Per-request stage breakdown: plan, compile, execute, latch_wait",
+            "Per-request stage breakdown: " + ", ".join(REQUEST_STAGES),
             ("stage",),
         )
         self.passes = r.histogram(
@@ -534,7 +543,7 @@ class ServiceMetrics:
         timings = result.timings
         if "queue_wait" in timings:
             self.queue_wait.observe(timings["queue_wait"])
-        for stage in ("plan", "compile", "execute", "latch_wait"):
+        for stage in REQUEST_STAGES:
             if stage in timings:
                 self.stage_seconds.observe(timings[stage], stage=stage)
         if result.error is not None:

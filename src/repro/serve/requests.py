@@ -17,6 +17,7 @@ must be byte-identical to running the same request alone through
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.runner import RunReport, perform_permutation
 from repro.errors import ValidationError
-from repro.pdm.cancel import run_scope
+from repro.pdm.cancel import current_trace, run_scope
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.system import ParallelDiskSystem
 from repro.perms import library
@@ -76,7 +77,31 @@ def make_permutation(
     Deterministic in ``(name, geometry, seed, rank_gamma)``: the
     ``random-*`` families draw from ``default_rng(seed)``, so a request
     is a pure value and re-running it reproduces the same permutation.
+
+    Memoized on those four arguments, so every request for one named
+    permutation shares one immutable object -- and with it the
+    classification and bound table memoized on it.  The memo is a
+    fixed-size, thread-safe LRU of ``n x n``-sized values: ``random``
+    builds an ``N``-sized target vector and is never memoized, nor is a
+    seed that cannot be a key (a list, which ``default_rng`` accepts).
     """
+    try:
+        hash(seed)
+    except TypeError:
+        return _build_permutation(name, geometry, seed, rank_gamma)
+    if name == "random":
+        return _build_permutation(name, geometry, seed, rank_gamma)
+    return _memoized_permutation(name, geometry, seed, rank_gamma)
+
+
+@functools.lru_cache(maxsize=256)
+def _memoized_permutation(name, geometry, seed, rank_gamma) -> Permutation:
+    return _build_permutation(name, geometry, seed, rank_gamma)
+
+
+def _build_permutation(
+    name: str, geometry: DiskGeometry, seed: int, rank_gamma: int | None
+) -> Permutation:
     from repro.bits.random import (
         random_bmmc_with_rank_gamma,
         random_bit_permutation,
@@ -208,10 +233,13 @@ class RequestTrace:
     ``request_id`` travels with the executing thread, so anything the
     request touches -- the planner, the cache, a log line -- can
     attribute work to it.  ``timings`` accumulates named stage costs in
-    seconds: the service records ``queue_wait``, the plan cache records
+    seconds: the service records ``queue_wait``; request preparation
+    records ``prepare`` (building the named permutation, classifying
+    it and its bound table); the plan cache records
     ``plan``/``compile``/``execute``/``latch_wait``
-    (:func:`~repro.pdm.cache.cached_execute`).  :meth:`record` *adds*,
-    so staged plans and retries accumulate per stage rather than
+    (:func:`~repro.pdm.cache.cached_execute`); the runner records
+    ``verify`` and the worker ``digest``.  :meth:`record` *adds*, so
+    staged plans and retries accumulate per stage rather than
     overwrite.
     """
 
@@ -289,12 +317,16 @@ def _execute_request(
 ) -> tuple[RunReport, str | None]:
     """Run one request on a clean system; shared by workers and the
     sequential reference.  The system must already be reset."""
+    trace = current_trace()
     system.fill_identity(request.source_portion)
     perm = request.perm
     if isinstance(perm, str):
+        prepared_from = time.perf_counter()
         perm = make_permutation(
             perm, system.geometry, seed=request.seed, rank_gamma=request.rank_gamma
         )
+        if trace is not None:
+            trace.record("prepare", time.perf_counter() - prepared_from)
     report = perform_permutation(
         system,
         perm,
@@ -310,9 +342,10 @@ def _execute_request(
     )
     digest = None
     if request.capture_portion:
-        digest = hashlib.sha256(
-            system.portion_values(report.final_portion).tobytes()
-        ).hexdigest()
+        digested_from = time.perf_counter()
+        digest = hashlib.sha256(system.portion_view(report.final_portion)).hexdigest()
+        if trace is not None:
+            trace.record("digest", time.perf_counter() - digested_from)
     return report, digest
 
 

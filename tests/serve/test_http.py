@@ -24,6 +24,7 @@ from repro.serve import (
     HttpFrontend,
     PermutationService,
     ServiceMetrics,
+    parse_prometheus_text,
 )
 from repro.serve.loadgen import http_json, http_text, reconcile
 
@@ -85,8 +86,8 @@ class TestSubmission:
         assert body["report"]["parallel_ios"] > 0
         # the wire form omits default-valued fields ("method": "auto")
         assert body["request"] == {"perm": "transpose"}
-        assert "queue_wait" in body["timings"]
-        assert "execute" in body["timings"]
+        for stage in ("queue_wait", "prepare", "execute", "verify"):
+            assert stage in body["timings"], stage
 
     def test_sync_wrapped_body(self, geometry):
         with make_frontend(geometry, workers=2) as fe:
@@ -209,12 +210,19 @@ class TestIntrospection:
     def test_metrics_page_parses_and_reconciles(self, geometry):
         with make_frontend(geometry, workers=2) as fe:
             for _ in range(3):
-                http_json("POST", fe.url, "/permutations", dict(TRANSPOSE))
+                http_json(
+                    "POST", fe.url, "/permutations",
+                    dict(TRANSPOSE, capture_portion=True),
+                )
             _, stats = http_json("GET", fe.url, "/stats")
             status, page = http_text(fe.url, "/metrics")
         assert status == 200
         assert "# TYPE repro_requests_submitted_total counter" in page
         assert reconcile(stats, page) == []
+        samples = parse_prometheus_text(page)
+        for stage in ("prepare", "verify", "digest"):
+            sample = f'repro_request_stage_seconds_count{{stage="{stage}"}}'
+            assert samples[sample] == stats["completed"] == 3, stage
 
     def test_http_traffic_is_itself_metered(self, geometry):
         with make_frontend(geometry, workers=1) as fe:

@@ -174,7 +174,7 @@ class TestServiceMetrics:
         with PermutationService(
             geometry, workers=4, metrics=metrics
         ) as service:
-            service.run(synthetic_mix(12))
+            service.run(synthetic_mix(12, capture_portion=True))
             page = metrics.render(service=service)
             stats = service.stats()
         parsed = parse_prometheus_text(page)
@@ -187,6 +187,10 @@ class TestServiceMetrics:
             + parsed["repro_requests_shed_total"]
             == parsed["repro_requests_submitted_total"]
         )
+        # every completed request prepared, verified and digested once
+        for stage in ("prepare", "verify", "digest"):
+            sample = f'repro_request_stage_seconds_count{{stage="{stage}"}}'
+            assert parsed[sample] == stats.completed, stage
 
     def test_shed_requests_reconcile(self, geometry):
         metrics = ServiceMetrics()
@@ -226,7 +230,8 @@ class TestServiceMetrics:
         assert sum(metrics.passes.count(method=m) for m in methods) == 2
         assert metrics.parallel_ios.count() == 2
         # the stage breakdown came through the ambient trace
-        assert metrics.stage_seconds.count(stage="execute") == 2
+        for stage in ("prepare", "execute", "verify"):
+            assert metrics.stage_seconds.count(stage=stage) == 2, stage
 
     def test_error_counter_by_type(self, geometry):
         metrics = ServiceMetrics()
@@ -273,5 +278,5 @@ class TestServiceMetrics:
             assert future.request_id == "r000000"
             result = future.result()
         assert result.request_id == "r000000"
-        assert "queue_wait" in result.timings
-        assert "execute" in result.timings
+        for stage in ("queue_wait", "prepare", "execute", "verify"):
+            assert stage in result.timings, stage
